@@ -1,10 +1,18 @@
-"""Exact per-node reward vectors and the display rounding rule."""
+"""Exact per-node reward vectors and the display rounding rule.
+
+An allocation stores one integer numerator per node over a single positive
+common denominator. Every mechanism here produces that form directly (the
+equal-shares rewards are subtree sums of ``1/(depth+1)``, so they share the
+denominator ``lcm(1..height+1)``), which keeps scaling, rounding and printing
+in plain integer arithmetic; ``Fraction`` values are built only on request.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from numbers import Rational
 
 
@@ -22,6 +30,16 @@ def as_fraction(value: Rational | int | str) -> Fraction:
     return Fraction(value)
 
 
+def exact_and_display(numerator: int, denominator: int) -> tuple[str, int]:
+    """The reduced "p/q" (or plain integer) text of ``numerator/denominator``
+    and its value rounded half-away-from-zero; ``denominator`` is positive."""
+    g = gcd(numerator, denominator)
+    q = denominator // g
+    exact = str(numerator // g) if q == 1 else f"{numerator // g}/{q}"
+    magnitude = (2 * abs(numerator) + denominator) // (2 * denominator)
+    return exact, magnitude if numerator >= 0 else -magnitude
+
+
 def round_half_away_from_zero(value: Fraction) -> int:
     """Round to the nearest integer, breaking ties away from zero.
 
@@ -29,65 +47,117 @@ def round_half_away_from_zero(value: Fraction) -> int:
     shows as 1167 and 333.33... as 333.
     """
     value = Fraction(value)
-    n, d = abs(value).numerator, abs(value).denominator
-    magnitude = (2 * n + d) // (2 * d)
-    return magnitude if value >= 0 else -magnitude
+    return exact_and_display(value.numerator, value.denominator)[1]
 
 
-@dataclass(frozen=True)
 class Allocation:
-    """An exact reward per node id.
+    """An exact reward per node id: ``numerators[node] / denominator``.
 
-    The total is cached and always equals the sum of the rewards; for Shapley
-    allocations it equals the grand-coalition value.
+    ``Allocation(numerators, denominator)`` takes integer numerators, as a
+    mapping or as ``(node, numerator)`` pairs, over a positive integer
+    denominator. ``Allocation(rewards)`` takes a mapping of exact rationals
+    and brings them to the lcm of their denominators. Either way the input
+    is copied. Treat instances as immutable: ``rewards`` and ``total`` are
+    built on first use and cached. For Shapley allocations the total equals
+    the grand-coalition value.
     """
 
-    rewards: dict[int, Fraction]
+    def __init__(
+        self,
+        values: Mapping[int, Rational | int | str] | Iterable[tuple[int, int]],
+        denominator: int | None = None,
+    ) -> None:
+        if denominator is None:
+            rewards = {node: as_fraction(v) for node, v in values.items()}
+            denominator = lcm(*(v.denominator for v in rewards.values()))
+            numerators = {
+                node: v.numerator * (denominator // v.denominator)
+                for node, v in rewards.items()
+            }
+        elif denominator.__class__ is not int or denominator <= 0:
+            raise ValueError(f"denominator must be a positive int, got {denominator!r}")
+        else:
+            numerators = dict(values)
+        self.numerators = numerators
+        self.denominator = denominator
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rewards", dict(self.rewards))
+    def __repr__(self) -> str:
+        return f"Allocation({self.numerators!r}, {self.denominator!r})"
+
+    @cached_property
+    def rewards(self) -> dict[int, Fraction]:
+        """Node id -> exact reward, one ``Fraction`` per distinct numerator."""
+        denominator = self.denominator
+        made: dict[int, Fraction] = {}
+        rewards = {}
+        for node, numerator in self.numerators.items():
+            value = made.get(numerator)
+            if value is None:
+                value = made[numerator] = Fraction(numerator, denominator)
+            rewards[node] = value
+        return rewards
 
     @cached_property
     def total(self) -> Fraction:
-        return sum(self.rewards.values(), Fraction(0))
+        return Fraction(sum(self.numerators.values()), self.denominator)
 
     def __getitem__(self, node: int) -> Fraction:
-        return self.rewards[node]
+        return Fraction(self.numerators[node], self.denominator)
 
     def __contains__(self, node: int) -> bool:
-        return node in self.rewards
+        return node in self.numerators
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return len(self.numerators)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        if self.denominator == other.denominator:
+            return self.numerators == other.numerators
+        mine, theirs = other.denominator, self.denominator
+        return self.numerators.keys() == other.numerators.keys() and all(
+            v * mine == other.numerators[node] * theirs
+            for node, v in self.numerators.items()
+        )
 
     def get(self, node: int, default: Fraction = Fraction(0)) -> Fraction:
-        return self.rewards.get(node, default)
+        if node in self.numerators:
+            return self[node]
+        return default
 
     def items(self) -> list[tuple[int, Fraction]]:
         """(node, reward) pairs in ascending node order."""
         return sorted(self.rewards.items())
 
+    def rows(
+        self, nodes: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, str, int]]:
+        """``(node, exact, display)`` per node, lazily: the reduced "p/q"
+        text and the half-away-from-zero rounding. ``nodes`` defaults to
+        every node in ascending order; a node without an entry reads 0."""
+        numerators, denominator = self.numerators, self.denominator
+        for node in sorted(numerators) if nodes is None else nodes:
+            yield node, *exact_and_display(numerators.get(node, 0), denominator)
+
     def __add__(self, other: "Allocation") -> "Allocation":
-        merged = dict(self.rewards)
-        for node, value in other.rewards.items():
-            merged[node] = merged.get(node, Fraction(0)) + value
-        return Allocation(merged)
+        denominator = lcm(self.denominator, other.denominator)
+        merged = {}
+        for part in (self, other):
+            factor = denominator // part.denominator
+            for node, v in part.numerators.items():
+                merged[node] = merged.get(node, 0) + v * factor
+        return Allocation(merged, denominator)
 
     def scaled(self, k: Rational | int | str) -> "Allocation":
+        """Every reward times ``k``: one integer multiply per node."""
         k = as_fraction(k)
-        return Allocation({node: k * value for node, value in self.rewards.items()})
+        p = k.numerator
+        return Allocation(
+            ((node, p * v) for node, v in self.numerators.items()),
+            self.denominator * k.denominator,
+        )
 
     def display(self) -> dict[int, int]:
         """Rewards rounded half-away-from-zero, keyed by node id."""
-        return {node: round_half_away_from_zero(v) for node, v in self.items()}
-
-
-def adopt_rewards(rewards: dict[int, Fraction]) -> Allocation:
-    """Wrap an already-private dict without copying.
-
-    For hot paths that build a fresh dict per call; the caller must not touch
-    the mapping afterwards.
-    """
-    allocation = object.__new__(Allocation)
-    object.__setattr__(allocation, "rewards", rewards)
-    return allocation
+        return {node: display for node, _, display in self.rows()}

@@ -6,12 +6,11 @@ Exit codes: 0 on success, 1 on input errors, 2 on verification failure.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import click
 
 from . import analysis
-from .allocation import round_half_away_from_zero
+from .allocation import exact_and_display
 from .io import (
     InputFormatError,
     RunConfig,
@@ -145,9 +144,12 @@ def stream(eventlog, root, quiet,
     def emit(event, delta):
         if quiet:
             return
-        share = unit_value * delta[event.node]
-        shown = str(share) if config.exact else str(round_half_away_from_zero(share))
-        path = ",".join(str(node) for node, _ in delta.items())
+        exact, display = exact_and_display(
+            unit_value.numerator * delta.numerators[event.node],
+            unit_value.denominator * delta.denominator,
+        )
+        shown = exact if config.exact else display
+        path = ",".join(map(str, sorted(delta.numerators)))
         click.echo(f"seq {event.seq}: node {event.node} joins {event.parent}; "
                    f"+{shown} to each of [{path}]")
 

@@ -17,8 +17,9 @@ import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 
-from .allocation import Allocation, round_half_away_from_zero
+from .allocation import Allocation
 from .mechanisms import (
     GEOMETRIC,
     MECHANISM_KINDS,
@@ -250,18 +251,34 @@ class RunConfig:
         return replace(self, **changes) if changes else self
 
 
+def _json_bool(value: object) -> bool:
+    """Only JSON ``true``/``false``; strings and numbers are not booleans."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _json_count(value: object) -> int:
+    """An integral JSON number such as ``3`` or ``3.0``, never a truncation."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _CONFIG_PARSERS: dict[str, Callable] = {
     "mechanisms": lambda v: tuple(v) if isinstance(v, (list, tuple)) else (v,),
     "unit": parse_rational,
-    "root_adjust": bool,
+    "root_adjust": _json_bool,
     "ratio": parse_rational,
-    "normalize": bool,
+    "normalize": _json_bool,
     "referrer_share": parse_rational,
-    "limit_bruteforce": int,
-    "limit_core": int,
-    "limit_convex": int,
+    "limit_bruteforce": _json_count,
+    "limit_core": _json_count,
+    "limit_convex": _json_count,
     "output_format": str,
-    "exact": bool,
+    "exact": _json_bool,
 }
 
 
@@ -295,15 +312,6 @@ def load_config(path: str) -> RunConfig:
 
 # -- rendering -----------------------------------------------------------
 
-def format_exact(value: Fraction) -> str:
-    """Reduced "p/q" (or plain integer) form."""
-    return str(value)
-
-
-def _cell(value: Fraction, exact: bool) -> str:
-    return format_exact(value) if exact else str(round_half_away_from_zero(value))
-
-
 def render_report(
     report: RewardReport,
     output_format: str = "table",
@@ -317,39 +325,30 @@ def render_report(
     Display values are exact rationals rounded half-away-from-zero.
     """
     nodes = sorted(
-        {node for _, allocation in report.results for node in allocation.rewards}
+        {node for allocation in report.allocations() for node in allocation.numerators}
     )
     if output_format == "records":
-        lines = []
-        for spec, allocation in report.results:
-            for node in nodes:
-                value = allocation.get(node)
-                lines.append(
-                    json.dumps(
-                        {
-                            "mechanism": spec.kind,
-                            "node": node,
-                            "exact": format_exact(value),
-                            "display": round_half_away_from_zero(value),
-                        }
-                    )
-                )
+        # json.dumps layout, written directly: no field needs escaping.
+        lines = (
+            f'{{"mechanism": "{spec.kind}", "node": {node}, '
+            f'"exact": "{value}", "display": {display}}}'
+            for spec, allocation in report.results
+            for node, value, display in allocation.rows(nodes)
+        )
         return "\n".join(lines) + "\n"
     if output_format == "csv":
-        lines = ["mechanism,node,exact,display"]
-        for spec, allocation in report.results:
-            for node in nodes:
-                value = allocation.get(node)
-                lines.append(
-                    f"{spec.kind},{node},{format_exact(value)},"
-                    f"{round_half_away_from_zero(value)}"
-                )
-        return "\n".join(lines) + "\n"
+        lines = (
+            f"{spec.kind},{node},{value},{display}"
+            for spec, allocation in report.results
+            for node, value, display in allocation.rows(nodes)
+        )
+        return "\n".join(chain(["mechanism,node,exact,display"], lines)) + "\n"
 
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
     rows = [
-        (spec.kind, [_cell(allocation.get(n), exact) for n in nodes])
+        (spec.kind, [value if exact else str(display)
+                     for _, value, display in allocation.rows(nodes)])
         for spec, allocation in report.results
     ]
     name_width = max(len("mechanism"), *(len(name) for name, _ in rows))
@@ -380,24 +379,19 @@ def render_allocation(
     allocation: Allocation, output_format: str = "table", exact: bool = False
 ) -> str:
     """Render a single allocation (used for stream finals)."""
+    rows = allocation.rows()
     if output_format == "records":
-        lines = [
-            json.dumps(
-                {
-                    "node": node,
-                    "exact": format_exact(value),
-                    "display": round_half_away_from_zero(value),
-                }
-            )
-            for node, value in allocation.items()
-        ]
-        return "\n".join(lines) + "\n"
-    if output_format == "csv":
-        lines = ["node,exact,display"]
-        for node, value in allocation.items():
-            lines.append(
-                f"{node},{format_exact(value)},{round_half_away_from_zero(value)}"
-            )
-        return "\n".join(lines) + "\n"
-    lines = [f"{node}\t{_cell(value, exact)}" for node, value in allocation.items()]
+        lines = (
+            f'{{"node": {node}, "exact": "{value}", "display": {display}}}'
+            for node, value, display in rows
+        )
+    elif output_format == "csv":
+        lines = chain(
+            ["node,exact,display"],
+            (f"{node},{value},{display}" for node, value, display in rows),
+        )
+    else:
+        lines = (
+            f"{node}\t{value if exact else display}" for node, value, display in rows
+        )
     return "\n".join(lines) + "\n"

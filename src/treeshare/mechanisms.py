@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .allocation import Allocation, as_fraction
 from .games import RationalLike
@@ -86,16 +87,38 @@ def allocate_refer_a_friend(tree: RootedTree, spec: MechanismSpec) -> Allocation
     ``unit_value * (n - 1)``.
     """
     _expect_kind(spec, REFER_A_FRIEND)
-    unit = spec.unit_value
-    to_referrer = spec.referrer_share * unit
-    to_invitee = unit - to_referrer
-    rewards = {i: Fraction(0) for i in tree.node_ids}
-    for i in tree.node_ids:
-        if i == tree.root:
-            continue
-        rewards[i] += to_invitee
-        rewards[tree.parent(i)] += to_referrer
-    return Allocation(rewards)
+    to_referrer = spec.referrer_share * spec.unit_value
+    to_invitee = spec.unit_value - to_referrer
+    denominator = lcm(to_referrer.denominator, to_invitee.denominator)
+    referrer_share = to_referrer.numerator * (denominator // to_referrer.denominator)
+    invitee_share = to_invitee.numerator * (denominator // to_invitee.denominator)
+    ids, parents = tree._ids, tree._parents
+    numerators = [invitee_share] * tree.n
+    numerators[0] = 0  # the root, first in canonical order
+    for r in range(1, tree.n):
+        numerators[parents[r]] += referrer_share
+    return Allocation(zip(ids, numerators), denominator)
+
+
+def _geometric_numerators(tree: RootedTree, ratio: Fraction) -> tuple[list[int], int]:
+    """Raw shares as integer numerators over ``q**height`` for ``ratio = p/q``,
+    listed in canonical (rank) order.
+
+    A node at depth ``k`` first sums ``p**d * q**(height-k-d)`` over its
+    strict descendants at distance ``d``, which is integral because
+    ``d <= height-k``; one bottom-up pass, then one multiply by ``q**k``.
+    """
+    p, q = ratio.numerator, ratio.denominator
+    height = tree.height
+    q_pow = [q**e for e in range(height + 1)]
+    children, depths = tree._children, tree._depths
+    acc = [0] * tree.n
+    for r in range(tree.n - 1, -1, -1):
+        kids = children[r]
+        if kids:
+            below = q_pow[height - depths[r] - 1]
+            acc[r] = p * (below * len(kids) + sum(acc[c] for c in kids))
+    return [a * q_pow[k] for a, k in zip(acc, depths)], q_pow[height]
 
 
 def geometric_raw_shares(tree: RootedTree, ratio: Fraction) -> dict[int, Fraction]:
@@ -104,15 +127,8 @@ def geometric_raw_shares(tree: RootedTree, ratio: Fraction) -> dict[int, Fractio
     Computed bottom-up in one pass; leaves always get 0 because invitees earn
     nothing at the time of joining.
     """
-    shares: list[Fraction] = [Fraction(0)] * tree.n
-    children = tree._children
-    for r in range(tree.n - 1, -1, -1):
-        total = Fraction(0)
-        for c in children[r]:
-            total += ratio * (1 + shares[c])
-        shares[r] = total
-    ids = tree._ids
-    return {ids[r]: shares[r] for r in range(tree.n)}
+    numerators, denominator = _geometric_numerators(tree, as_fraction(ratio))
+    return {i: Fraction(v, denominator) for i, v in zip(tree._ids, numerators)}
 
 
 def allocate_geometric(tree: RootedTree, spec: MechanismSpec) -> Allocation:
@@ -124,14 +140,17 @@ def allocate_geometric(tree: RootedTree, spec: MechanismSpec) -> Allocation:
     A tree with no referrals pays nothing either way.
     """
     _expect_kind(spec, GEOMETRIC)
-    shares = geometric_raw_shares(tree, spec.ratio)
-    if not spec.normalize:
-        return Allocation({i: spec.unit_value * s for i, s in shares.items()})
-    pool = spec.unit_value * (tree.n - 1)
-    denom = sum(shares.values(), Fraction(0))
-    if denom == 0:
-        return Allocation({i: Fraction(0) for i in shares})
-    return Allocation({i: pool * s / denom for i, s in shares.items()})
+    raw, denominator = _geometric_numerators(tree, spec.ratio)
+    unit = spec.unit_value
+    if spec.normalize:
+        # pool * raw_i / sum(raw), with pool = unit * (n - 1); a tree with no
+        # referrals has every raw share 0 and pays nothing.
+        denominator = sum(raw) or 1
+        unit *= tree.n - 1
+    p = unit.numerator
+    return Allocation(
+        ((i, p * v) for i, v in zip(tree._ids, raw)), unit.denominator * denominator
+    )
 
 
 def allocate_shapley_mechanism(tree: RootedTree, spec: MechanismSpec) -> Allocation:

@@ -11,20 +11,29 @@ Three routes to the same numbers, used to check each other:
 
 ``IncrementalState`` maintains the basic-game allocation as joins stream in,
 paying one ``1/(depth+1)`` share to each node on the new member's root path.
+
+The closed form and the streaming snapshot work in integers over
+``lcm(1..height+1)``, which every ``1/(depth+1)`` share divides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .allocation import Allocation, adopt_rewards, as_fraction
+from .allocation import Allocation, as_fraction
 from .games import TreeGame, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, build_tree
 
 
 class SizeLimitError(ValueError):
     """An exhaustive computation was asked to exceed its configured limit."""
+
+
+def _depth_shares(height: int) -> tuple[int, list[int]]:
+    """``L = lcm(1..height+1)`` and the numerator ``L/(d+1)`` per depth."""
+    common = lcm(*range(1, height + 2))
+    return common, [common // (d + 1) for d in range(height + 1)]
 
 
 def shapley_basic(tree: RootedTree) -> Allocation:
@@ -35,16 +44,13 @@ def shapley_basic(tree: RootedTree) -> Allocation:
     The rewards always sum to ``n``.
     """
     n = tree.n
-    depths = tree._depths
     children = tree._children
-    ids = tree._ids
-    acc: list[Fraction] = [Fraction(0)] * n
+    common, share = _depth_shares(tree.height)
+    acc = [share[d] for d in tree._depths]
     for r in range(n - 1, -1, -1):
-        total = Fraction(1, depths[r] + 1)
         for c in children[r]:
-            total += acc[c]
-        acc[r] = total
-    return Allocation({ids[r]: acc[r] for r in range(n)})
+            acc[r] += acc[c]
+    return Allocation(zip(tree._ids, acc), common)
 
 
 def shapley_bruteforce(game: TreeGame, limit: int = 10) -> Allocation:
@@ -134,9 +140,12 @@ def root_adjust(
     """
     if root not in allocation:
         raise UnknownNodeError(f"allocation has no entry for root {root}")
-    rewards = dict(allocation.rewards)
-    rewards[root] -= as_fraction(unit_value)
-    return Allocation(rewards)
+    unit = as_fraction(unit_value)
+    factor = unit.denominator // gcd(allocation.denominator, unit.denominator)
+    numerators = {node: v * factor for node, v in allocation.numerators.items()}
+    denominator = allocation.denominator * factor
+    numerators[root] -= unit.numerator * (denominator // unit.denominator)
+    return Allocation(numerators, denominator)
 
 
 class IncrementalState:
@@ -159,8 +168,7 @@ class IncrementalState:
         # Insertion order is join order, so parents always precede children.
         self._parents: dict[int, int | None] = {root: None}
         self._depths: dict[int, int] = {root: 0}
-        # Shares are reused across joins; only depth-many distinct ones exist.
-        self._shares: dict[int, Fraction] = {}
+        self._height = 0
 
     @property
     def n(self) -> int:
@@ -179,7 +187,8 @@ class IncrementalState:
         """Attach a new member under ``parent`` and return the reward delta.
 
         The delta pays ``1/(depth(node)+1)`` to every node on the root path,
-        the new member included; all other rewards are untouched.
+        the new member included: numerators of 1 over ``depth(node)+1``. All
+        other rewards are untouched.
         """
         parents = self._parents
         depths = self._depths
@@ -191,43 +200,42 @@ class IncrementalState:
         if node.__class__ is not int or node <= 0:
             raise TreeError(f"node ids must be positive integers, got {node!r}")
         depth += 1
-        denom = depth + 1
         parents[node] = parent
         depths[node] = depth
-        share = self._shares.get(denom)
-        if share is None:
-            share = self._shares[denom] = Fraction(1, denom)
-        delta: dict[int, Fraction] = {node: share}
+        if depth > self._height:
+            self._height = depth
+        delta = {node: 1}
         cur: int | None = parent
         while cur is not None:
-            delta[cur] = share
+            delta[cur] = 1
             cur = parents[cur]
-        return adopt_rewards(delta)
+        # One delta per event: hand over the fresh dict without the
+        # constructor's defensive copy, which would cost a few percent of
+        # a join.
+        result = object.__new__(Allocation)
+        result.numerators = delta
+        result.denominator = depth + 1
+        return result
 
     @property
     def allocation(self) -> Allocation:
         """The full allocation for the current tree (root-adjusted if set).
 
-        One bottom-up pass: every node starts with its own ``1/(depth+1)``
-        share and folds its subtree total into its parent, children first
-        because joins arrive parent-before-child.
+        One bottom-up pass over ``lcm(1..height+1)``: every node starts with
+        the numerator of its own ``1/(depth+1)`` share and folds its subtree
+        total into its parent, children first because joins arrive
+        parent-before-child.
         """
         parents = self._parents
-        shares = self._shares
-        rewards: dict[int, Fraction] = {}
-        for node, depth in self._depths.items():
-            denom = depth + 1
-            share = shares.get(denom)
-            if share is None:
-                share = shares[denom] = Fraction(1, denom)
-            rewards[node] = share
-        for node in reversed(rewards):
+        common, share = _depth_shares(self._height)
+        numerators = {node: share[depth] for node, depth in self._depths.items()}
+        for node in reversed(numerators):
             parent = parents[node]
             if parent is not None:
-                rewards[parent] += rewards[node]
+                numerators[parent] += numerators[node]
         if self.root_adjust:
-            rewards[self.root] -= 1
-        return Allocation(rewards)
+            numerators[self.root] -= common
+        return Allocation(numerators, common)
 
     def to_tree(self) -> RootedTree:
         """Materialise the current tree."""

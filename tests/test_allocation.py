@@ -1,14 +1,33 @@
-"""Allocation arithmetic and the display rounding rule."""
+"""Allocation arithmetic, the display rounding rule, and the integer core
+checked against a ``Fraction`` reference."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import floor, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshare import Allocation, as_fraction, round_half_away_from_zero
+from conftest import random_tree_edges, shuffle_ids
+from treeshare import (
+    Allocation,
+    IncrementalState,
+    MechanismSpec,
+    allocate_geometric,
+    allocate_refer_a_friend,
+    allocate_shapley_mechanism,
+    as_fraction,
+    build_tree,
+    chain,
+    root_adjust,
+    round_half_away_from_zero,
+    shapley_basic,
+    star,
+)
+from treeshare.io import render_allocation
 
 
 def test_round_half_away_from_zero_rule():
@@ -71,3 +90,182 @@ def test_allocation_copies_input():
     allocation = Allocation(source)
     source[2] = Fraction(5)
     assert 2 not in allocation
+
+
+# -- the integer core against a Fraction reference ----------------------------
+
+def _parent_map(edges):
+    return {child: parent for child, parent in edges}
+
+
+def _ancestors(parent, node):
+    """``node`` and every node above it, nearest first."""
+    path = [node]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return path
+
+
+def reference_basic(edges, root) -> dict[int, Fraction]:
+    parent = _parent_map(edges)
+    rewards = {root: Fraction(0), **{child: Fraction(0) for child in parent}}
+    for node in rewards:
+        path = _ancestors(parent, node)
+        for member in path:
+            rewards[member] += Fraction(1, len(path))
+    return rewards
+
+
+def reference_geometric(edges, root, ratio, unit, normalize) -> dict[int, Fraction]:
+    parent = _parent_map(edges)
+    raw = {root: Fraction(0), **{child: Fraction(0) for child in parent}}
+    for node in raw:
+        for distance, member in enumerate(_ancestors(parent, node)[1:], start=1):
+            raw[member] += ratio**distance
+    if not normalize:
+        return {node: unit * v for node, v in raw.items()}
+    total = sum(raw.values())
+    pool = unit * (len(raw) - 1)
+    return {node: pool * v / total if total else Fraction(0) for node, v in raw.items()}
+
+
+def reference_refer_a_friend(edges, root, share, unit) -> dict[int, Fraction]:
+    rewards = {root: Fraction(0), **{child: Fraction(0) for child, _ in edges}}
+    for child, parent in edges:
+        rewards[child] += unit * (1 - share)
+        rewards[parent] += unit * share
+    return rewards
+
+
+@st.composite
+def referral_trees(draw) -> tuple[list[tuple[int, int]], int]:
+    """Seeded random trees (ids shuffled or join-ordered), ``chain(61)``,
+    whose denominator is lcm(1..61), and stars."""
+    kind = draw(st.sampled_from(["random", "shuffled", "chain", "star"]))
+    if kind == "chain":
+        return [(k + 1, k) for k in range(1, 61)], 1
+    if kind == "star":
+        n = draw(st.integers(1, 40))
+        return [(k, 1) for k in range(2, n + 1)], 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = random_tree_edges(rng, draw(st.integers(1, 80)), max_depth=12)
+    return shuffle_ids(rng, edges, 1) if kind == "shuffled" else (edges, 1)
+
+
+units = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+ratios = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1, 3),
+                          Fraction(3, 4), Fraction(5, 7)])
+
+
+def reference_round(value: Fraction) -> int:
+    magnitude = floor(abs(value) + Fraction(1, 2))
+    return magnitude if value >= 0 else -magnitude
+
+
+def _checked(allocation: Allocation) -> dict[int, Fraction]:
+    """The allocation's rewards, after checking its form and rendering."""
+    assert allocation.denominator > 0
+    assert all(isinstance(v, int) for v in allocation.numerators.values())
+    for node, exact, display in allocation.rows():
+        value = allocation[node]
+        assert exact == str(value)
+        assert display == round_half_away_from_zero(value) == reference_round(value)
+    csv = render_allocation(allocation, "csv").splitlines()[1:]
+    assert csv == [f"{node},{v},{round_half_away_from_zero(v)}"
+                   for node, v in allocation.items()]
+    return allocation.rewards
+
+
+@settings(max_examples=60, deadline=None)
+@given(referral_trees(), units)
+def test_integer_core_equal_shares_matches_reference(shape, unit):
+    edges, root = shape
+    tree = build_tree(edges, root)
+    expected = reference_basic(edges, root)
+    assert _checked(shapley_basic(tree)) == expected
+    assert _checked(shapley_basic(tree).scaled(unit)) == {
+        node: unit * v for node, v in expected.items()
+    }
+    spec = MechanismSpec.shapley(unit, root_adjust=True)
+    adjusted = {node: unit * v for node, v in expected.items()}
+    adjusted[root] -= unit
+    assert _checked(allocate_shapley_mechanism(tree, spec)) == adjusted
+    # the unit's denominator need not divide the allocation's
+    assert _checked(root_adjust(shapley_basic(tree), root, unit)) == {
+        **expected, root: expected[root] - unit
+    }
+
+    for adjust in (False, True):
+        state = IncrementalState(root, root_adjust=adjust)
+        for child, parent in edges:  # join order: parents come first
+            delta = state.join(child, parent)
+            depth = tree.depth(child)
+            assert _checked(delta) == {
+                member: Fraction(1, depth + 1)
+                for member in _ancestors(_parent_map(edges), child)
+            }
+        assert _checked(state.allocation) == {
+            **expected, root: expected[root] - (1 if adjust else 0)
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(referral_trees(), units, ratios, st.booleans())
+def test_integer_core_geometric_matches_reference(shape, unit, ratio, normalize):
+    edges, root = shape
+    spec = MechanismSpec.geometric(unit, ratio, normalize)
+    assert _checked(allocate_geometric(build_tree(edges, root), spec)) == (
+        reference_geometric(edges, root, ratio, unit, normalize)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(referral_trees(), units, st.fractions(min_value=0, max_value=1,
+                                             max_denominator=9))
+def test_integer_core_refer_a_friend_matches_reference(shape, unit, share):
+    edges, root = shape
+    spec = MechanismSpec.refer_a_friend(unit, share)
+    assert _checked(allocate_refer_a_friend(build_tree(edges, root), spec)) == (
+        reference_refer_a_friend(edges, root, share, unit)
+    )
+
+
+@given(st.dictionaries(st.integers(1, 10**6), st.fractions(), max_size=30), units)
+def test_allocation_from_fractions_round_trips(rewards, unit):
+    allocation = Allocation(rewards)
+    assert _checked(allocation) == rewards
+    assert allocation.total == sum(rewards.values())
+    assert _checked(allocation.scaled(unit)) == {
+        node: unit * v for node, v in rewards.items()
+    }
+    assert allocation == Allocation(allocation.numerators, allocation.denominator)
+    tripled = {node: 3 * v for node, v in allocation.numerators.items()}
+    assert allocation == Allocation(tripled, 3 * allocation.denominator)
+    if rewards:
+        node = next(iter(rewards))
+        assert allocation != Allocation({**tripled, node: tripled[node] + 1},
+                                        3 * allocation.denominator)
+
+
+def test_chain_61_shares_one_denominator_lcm_1_to_61():
+    allocation = shapley_basic(chain(61))
+    assert allocation.denominator == lcm(*range(1, 62))
+    assert allocation.total == 61
+    assert allocation[61] == Fraction(1, 61)
+
+
+def test_star_and_equality_across_denominators():
+    allocation = shapley_basic(star(5))
+    assert allocation.rewards == {
+        1: Fraction(3), **{k: Fraction(1, 2) for k in range(2, 6)}
+    }
+    doubled = Allocation({n: 2 * v for n, v in allocation.numerators.items()},
+                         2 * allocation.denominator)
+    assert doubled == allocation
+    assert doubled != allocation.scaled(2)
+
+
+def test_allocation_rejects_bad_denominators():
+    for bad in (0, -4, True, Fraction(3)):
+        with pytest.raises(ValueError, match="denominator"):
+            Allocation({1: 1}, bad)

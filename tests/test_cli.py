@@ -109,6 +109,37 @@ def test_compute_config_file_with_flag_override(example_file, tmp_path, capsys):
     assert "shapley,1,7/6,1" in out
 
 
+@pytest.mark.parametrize(
+    "command,entry",
+    [
+        ("compute", {"root_adjust": "false"}),
+        ("compute", {"exact": 0}),
+        ("compute", {"normalize": "no"}),
+        ("verify", {"limit_core": 2.9}),
+        ("verify", {"limit_bruteforce": True}),
+    ],
+)
+def test_config_file_with_mistyped_entry_exits_1(
+    command, entry, example_file, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry))
+    code, out, err = run(capsys, command, example_file, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"error: config field '{next(iter(entry))}'" in err
+    assert "Traceback" not in err
+
+
+def test_config_file_json_booleans_apply(example_file, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"root_adjust": False, "exact": True,
+                                  "mechanisms": ["shapley"]}))
+    code, out, _ = run(capsys, "compute", example_file, "--config", str(config))
+    assert code == 0
+    assert out.splitlines()[1].split() == ["shapley", "13/6", "7/6", "1/3", "1/3"]
+
+
 # -- stream -----------------------------------------------------------------------
 
 def test_stream_replays_example(example_log, capsys):

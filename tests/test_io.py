@@ -199,6 +199,32 @@ def test_config_from_mapping():
         config_from_mapping({"units": 5})
 
 
+@pytest.mark.parametrize("key", ["root_adjust", "normalize", "exact"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], "0"])
+def test_config_bool_fields_take_only_json_booleans(key, value):
+    with pytest.raises(InputFormatError, match=f"config field '{key}'"):
+        config_from_mapping({key: value})
+
+
+def test_config_bool_fields_keep_json_booleans():
+    config = config_from_mapping({"root_adjust": False, "exact": True,
+                                  "normalize": False})
+    assert (config.root_adjust, config.exact, config.normalize) == (False, True, False)
+
+
+@pytest.mark.parametrize("key", ["limit_bruteforce", "limit_core", "limit_convex"])
+@pytest.mark.parametrize("value", [2.9, "3", True, None, float("inf"), float("nan")])
+def test_config_limits_take_only_integral_numbers(key, value):
+    with pytest.raises(InputFormatError, match=f"config field '{key}'"):
+        config_from_mapping({key: value})
+
+
+def test_config_limits_keep_integral_numbers():
+    config = config_from_mapping({"limit_core": 3, "limit_convex": 4.0})
+    assert (config.limit_core, config.limit_convex) == (3, 4)
+    assert isinstance(config.limit_convex, int)
+
+
 def test_config_specs_carry_parameters():
     config = RunConfig(unit=Fraction(1000), root_adjust=False, ratio=Fraction(1, 3))
     specs = {spec.kind: spec for spec in config.mechanism_specs()}

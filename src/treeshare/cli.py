@@ -12,14 +12,13 @@ import click
 from . import analysis
 from .allocation import exact_and_display
 from .io import (
+    OUTPUT_FORMATS,
     InputFormatError,
     RunConfig,
-    TreeDocument,
     load_config,
-    normalize_mechanism_name,
     parse_event_log,
-    parse_rational,
     parse_tree_file,
+    read_text,
     render_allocation,
     render_report,
     replay_events,
@@ -32,58 +31,25 @@ class VerificationFailure(Exception):
     """Raised by ``verify`` when any check fails; maps to exit code 2."""
 
 
-def _read_tree(path: str, strict: bool) -> TreeDocument:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    return parse_tree_file(text, strict=strict)
-
-
-def _build_config(
-    config_path: str | None,
-    mechanisms: tuple[str, ...],
-    unit: str | None,
-    root_adjust: bool | None,
-    ratio: str | None,
-    normalize: bool | None,
-    referrer_share: str | None,
-    exact: bool | None,
-    output_format: str | None,
-    limit_bruteforce: int | None = None,
-    limit_core: int | None = None,
-    limit_convex: int | None = None,
-) -> RunConfig:
+def _build_config(config_path: str | None, **flags) -> RunConfig:
+    """The config file's entries, then every flag given on the command line;
+    each flag is named after its RunConfig field and parsed like its entry."""
     config = load_config(config_path) if config_path else RunConfig()
-    return config.updated(
-        mechanisms=tuple(normalize_mechanism_name(m) for m in mechanisms) or None,
-        unit=parse_rational(unit) if unit is not None else None,
-        root_adjust=root_adjust,
-        ratio=parse_rational(ratio) if ratio is not None else None,
-        normalize=normalize,
-        referrer_share=(
-            parse_rational(referrer_share) if referrer_share is not None else None
-        ),
-        exact=exact,
-        output_format=output_format,
-        limit_bruteforce=limit_bruteforce,
-        limit_core=limit_core,
-        limit_convex=limit_convex,
-    )
+    return config.updated(**flags)
 
 
 _COMMON = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="JSON config file; flags override its entries."),
     click.option("--unit", default=None,
-                 help="Reward pool per referral, as 'p/q' or a decimal."),
+                 help="Reward pool per referral, as 'p/q' or a decimal; a "
+                      "negative unit is accepted and scales every reward."),
     click.option("--root-adjust/--no-root-adjust", "root_adjust", default=None,
                  help="Charge the root one unit for its free signup."),
     click.option("--exact", is_flag=True, default=None,
                  help="Print exact rationals instead of rounded integers."),
     click.option("--format", "output_format",
-                 type=click.Choice(["table", "records", "csv"]), default=None),
+                 type=click.Choice(OUTPUT_FORMATS), default=None),
 ]
 
 
@@ -113,12 +79,10 @@ def cli() -> None:
 @click.option("--strict/--no-strict", default=True,
               help="Reject unknown fields in the tree file.")
 @_with(_COMMON)
-def compute(treefile, mechanisms, ratio, normalize, referrer_share, strict,
-            config_path, unit, root_adjust, exact, output_format) -> None:
+def compute(treefile, strict, config_path, **flags) -> None:
     """Allocate rewards for a tree under one or more mechanisms."""
-    config = _build_config(config_path, mechanisms, unit, root_adjust, ratio,
-                           normalize, referrer_share, exact, output_format)
-    document = _read_tree(treefile, strict)
+    config = _build_config(config_path, **flags)
+    document = parse_tree_file(read_text(treefile), strict)
     report = compare(document.tree, config.mechanism_specs())
     click.echo(
         render_report(report, config.output_format, config.exact, document.labels),
@@ -133,12 +97,10 @@ def compute(treefile, mechanisms, ratio, normalize, referrer_share, strict,
 @click.option("--quiet", is_flag=True, default=False,
               help="Suppress per-event delta lines.")
 @_with(_COMMON)
-def stream(eventlog, root, quiet,
-           config_path, unit, root_adjust, exact, output_format) -> None:
+def stream(eventlog, root, quiet, config_path, **flags) -> None:
     """Replay a join-event log, reporting per-event reward deltas and the
     final allocation (the equal-shares mechanism, computed incrementally)."""
-    config = _build_config(config_path, (), unit, root_adjust, None, None,
-                           None, exact, output_format)
+    config = _build_config(config_path, **flags)
     unit_value = config.unit
 
     def emit(event, delta):
@@ -153,7 +115,11 @@ def stream(eventlog, root, quiet,
         click.echo(f"seq {event.seq}: node {event.node} joins {event.parent}; "
                    f"+{shown} to each of [{path}]")
 
-    with click.open_file(eventlog, encoding="utf-8") as handle:
+    try:
+        handle = click.open_file(eventlog, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
+    with handle:
         state = replay_events(
             parse_event_log(handle), root,
             root_adjust=config.root_adjust, on_delta=emit,
@@ -172,12 +138,10 @@ def stream(eventlog, root, quiet,
               help="Largest n for the convexity check (default 12).")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--strict/--no-strict", default=True)
-def verify(treefile, limit_bruteforce, limit_core, limit_convex, config_path,
-           strict) -> None:
+def verify(treefile, config_path, strict, **flags) -> None:
     """Cross-check the computation routes and game properties on a tree."""
-    config = _build_config(config_path, (), None, None, None, None, None,
-                           None, None, limit_bruteforce, limit_core, limit_convex)
-    document = _read_tree(treefile, strict)
+    config = _build_config(config_path, **flags)
+    document = parse_tree_file(read_text(treefile), strict)
     report = analysis.run_verification(
         document.tree,
         limit_bruteforce=config.limit_bruteforce,
@@ -196,7 +160,7 @@ def verify(treefile, limit_bruteforce, limit_core, limit_convex, config_path,
 @click.option("--strict/--no-strict", default=True)
 def count(treefile, strict) -> None:
     """Per-node coalition counts for each Shapley computation route."""
-    document = _read_tree(treefile, strict)
+    document = parse_tree_file(read_text(treefile), strict)
     tree = document.tree
     rows = analysis.complexity_table(tree)
     perfect = analysis.is_complete_binary_tree(tree)

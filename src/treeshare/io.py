@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -25,7 +25,10 @@ from .mechanisms import (
     MECHANISM_KINDS,
     REFER_A_FRIEND,
     SHAPLEY,
+    EqualShares,
+    Geometric,
     MechanismSpec,
+    ReferAFriend,
     RewardReport,
 )
 from .shapley import IncrementalState
@@ -42,6 +45,26 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"not a rational number: {text!r} ({exc})") from None
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; an unreadable path is an input error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from None
+
+
+def _decode_json(text: str, what: str) -> object:
+    """Decode one JSON document; malformed or too deeply nested text is an
+    input error naming ``what`` was being read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputFormatError(f"{what} is nested too deeply to decode") from None
 
 
 # -- tree files ----------------------------------------------------------
@@ -94,11 +117,7 @@ def parse_tree_document(data: dict, strict: bool = True) -> TreeDocument:
 
 def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
     """Parse a JSON tree document from text."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"tree file is not valid JSON: {exc}") from None
-    return parse_tree_document(data, strict=strict)
+    return parse_tree_document(_decode_json(text, "tree file"), strict=strict)
 
 
 def render_tree_file(tree: RootedTree, labels: dict[int, str] | None = None) -> str:
@@ -231,24 +250,23 @@ class RunConfig:
         )
 
     def mechanism_specs(self) -> list[MechanismSpec]:
-        specs = []
+        """One spec per requested mechanism, built only from its own fields."""
+        specs: list[MechanismSpec] = []
         for kind in self.mechanisms:
             if kind == REFER_A_FRIEND:
-                specs.append(
-                    MechanismSpec.refer_a_friend(self.unit, self.referrer_share)
-                )
+                specs.append(ReferAFriend(self.unit, self.referrer_share))
             elif kind == GEOMETRIC:
-                specs.append(
-                    MechanismSpec.geometric(self.unit, self.ratio, self.normalize)
-                )
+                specs.append(Geometric(self.unit, self.ratio, self.normalize))
             else:
-                specs.append(MechanismSpec.shapley(self.unit, self.root_adjust))
+                specs.append(EqualShares(self.unit, self.root_adjust))
         return specs
 
-    def updated(self, **overrides) -> "RunConfig":
-        """A copy with the non-None overrides applied."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **changes) if changes else self
+    def updated(self, **entries) -> "RunConfig":
+        """A copy with the entries parsed and applied as config-file entries
+        are; an entry that is None or empty (a flag not given) keeps its field.
+        """
+        given = {k: v for k, v in entries.items() if v is not None and v != ()}
+        return replace(self, **_parse_fields(given)) if given else self
 
 
 def _json_bool(value: object) -> bool:
@@ -282,32 +300,32 @@ _CONFIG_PARSERS: dict[str, Callable] = {
 }
 
 
-def config_from_mapping(data: dict) -> RunConfig:
-    """Build a RunConfig from decoded JSON, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise InputFormatError("config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+def _parse_fields(entries: dict) -> dict:
+    """Each entry parsed by its field's parser, rejecting unknown keys."""
+    unknown = set(entries) - set(_CONFIG_PARSERS)
     if unknown:
         raise InputFormatError(f"unknown config fields {sorted(unknown)}")
     parsed = {}
-    for key, value in data.items():
+    for key, value in entries.items():
         try:
             parsed[key] = _CONFIG_PARSERS[key](value)
         except InputFormatError:
             raise
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"config field {key!r}: {exc}") from None
-    return RunConfig(**parsed)
+    return parsed
+
+
+def config_from_mapping(data: dict) -> RunConfig:
+    """Build a RunConfig from decoded JSON, rejecting unknown keys."""
+    if not isinstance(data, dict):
+        raise InputFormatError("config must be a JSON object")
+    return RunConfig(**_parse_fields(data))
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"config file is not valid JSON: {exc}") from None
-    return config_from_mapping(data)
+    """Read and validate a JSON config file."""
+    return config_from_mapping(_decode_json(read_text(path), "config file"))
 
 
 # -- rendering -----------------------------------------------------------

@@ -1,13 +1,20 @@
 """Referral payout mechanisms and side-by-side comparison.
 
-Three schemes over the same tree:
+Three schemes over the same tree, each with a spec type of its own:
 
-* refer-a-friend: a fixed per-referral reward split between referrer and
-  invitee, as run by the big cloud-storage signup programs.
-* geometric: each referral's reward decays by a fixed ratio up the ancestor
-  chain; invitees get nothing at joining (the finder's-fee style).
-* shapley: the referral value is shared equally among the invitee and all of
-  its ancestors, optionally charging the root one unit for its free signup.
+* refer-a-friend (``ReferAFriend``): a fixed per-referral reward split
+  between referrer and invitee, as run by the big cloud-storage signup
+  programs.
+* geometric (``Geometric``): each referral's reward decays by a fixed ratio
+  up the ancestor chain; invitees get nothing at joining (the finder's-fee
+  style).
+* shapley (``EqualShares``): the referral value is shared equally among the
+  invitee and all of its ancestors, optionally charging the root one unit
+  for its free signup.
+
+A spec carries only its own mechanism's parameters. Its ``unit_value`` is the
+reward pool per successful referral (for example 1000 MB per 1 GB-valued
+referral); rationals are coerced with ``as_fraction``.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import ClassVar
 
 from .allocation import Allocation, as_fraction
-from .games import RationalLike
 from .shapley import root_adjust, shapley_basic
 from .tree import RootedTree
 
@@ -28,65 +35,58 @@ MECHANISM_KINDS = (REFER_A_FRIEND, GEOMETRIC, SHAPLEY)
 
 
 @dataclass(frozen=True)
-class MechanismSpec:
-    """One payout scheme with its parameters.
+class ReferAFriend:
+    """Refer-a-friend: ``referrer_share`` of each unit goes to the referrer."""
 
-    ``unit_value`` is the reward pool per successful referral (for example
-    1000 MB per 1 GB-valued referral); all other parameters are meaningful
-    only for their own mechanism kind.
-    """
-
-    kind: str
+    kind: ClassVar[str] = REFER_A_FRIEND
     unit_value: Fraction = Fraction(1)
-    root_adjust: bool = True
     referrer_share: Fraction = Fraction(1, 2)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
+        object.__setattr__(self, "referrer_share", as_fraction(self.referrer_share))
+        if not 0 <= self.referrer_share <= 1:
+            raise ValueError("referrer share must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class Geometric:
+    """Geometric: shares decay by ``ratio`` per level, optionally normalised."""
+
+    kind: ClassVar[str] = GEOMETRIC
+    unit_value: Fraction = Fraction(1)
     ratio: Fraction = Fraction(1, 2)
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in MECHANISM_KINDS:
-            raise ValueError(
-                f"unknown mechanism {self.kind!r}; expected one of {MECHANISM_KINDS}"
-            )
         object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
-        object.__setattr__(self, "referrer_share", as_fraction(self.referrer_share))
         object.__setattr__(self, "ratio", as_fraction(self.ratio))
-        if not 0 <= self.referrer_share <= 1:
-            raise ValueError("referrer share must lie in [0, 1]")
         if not 0 < self.ratio < 1:
             raise ValueError("geometric ratio must lie strictly between 0 and 1")
 
-    @classmethod
-    def refer_a_friend(
-        cls, unit_value: RationalLike = 1, referrer_share: RationalLike = Fraction(1, 2)
-    ) -> "MechanismSpec":
-        return cls(REFER_A_FRIEND, unit_value=as_fraction(unit_value),
-                   referrer_share=as_fraction(referrer_share))
 
-    @classmethod
-    def geometric(
-        cls,
-        unit_value: RationalLike = 1,
-        ratio: RationalLike = Fraction(1, 2),
-        normalize: bool = True,
-    ) -> "MechanismSpec":
-        return cls(GEOMETRIC, unit_value=as_fraction(unit_value),
-                   ratio=as_fraction(ratio), normalize=normalize)
+@dataclass(frozen=True)
+class EqualShares:
+    """Equal shares (Shapley), optionally charging the root for its signup."""
 
-    @classmethod
-    def shapley(
-        cls, unit_value: RationalLike = 1, root_adjust: bool = True
-    ) -> "MechanismSpec":
-        return cls(SHAPLEY, unit_value=as_fraction(unit_value), root_adjust=root_adjust)
+    kind: ClassVar[str] = SHAPLEY
+    unit_value: Fraction = Fraction(1)
+    root_adjust: bool = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
 
 
-def allocate_refer_a_friend(tree: RootedTree, spec: MechanismSpec) -> Allocation:
+MechanismSpec = ReferAFriend | Geometric | EqualShares
+"""One payout scheme with its parameters."""
+
+
+def allocate_refer_a_friend(tree: RootedTree, spec: ReferAFriend) -> Allocation:
     """Fixed split per referral: the invitee and its referrer share one unit.
 
     The root earns nothing for its own signup, so the total paid is exactly
     ``unit_value * (n - 1)``.
     """
-    _expect_kind(spec, REFER_A_FRIEND)
     to_referrer = spec.referrer_share * spec.unit_value
     to_invitee = spec.unit_value - to_referrer
     denominator = lcm(to_referrer.denominator, to_invitee.denominator)
@@ -131,7 +131,7 @@ def geometric_raw_shares(tree: RootedTree, ratio: Fraction) -> dict[int, Fractio
     return {i: Fraction(v, denominator) for i, v in zip(tree._ids, numerators)}
 
 
-def allocate_geometric(tree: RootedTree, spec: MechanismSpec) -> Allocation:
+def allocate_geometric(tree: RootedTree, spec: Geometric) -> Allocation:
     """Geometrically decaying payouts up the ancestor chain.
 
     Normalized (the default), the pool ``unit_value * (n - 1)`` is split in
@@ -139,7 +139,6 @@ def allocate_geometric(tree: RootedTree, spec: MechanismSpec) -> Allocation:
     out; unnormalized, each node is paid ``unit_value`` times its raw share.
     A tree with no referrals pays nothing either way.
     """
-    _expect_kind(spec, GEOMETRIC)
     raw, denominator = _geometric_numerators(tree, spec.ratio)
     unit = spec.unit_value
     if spec.normalize:
@@ -153,14 +152,13 @@ def allocate_geometric(tree: RootedTree, spec: MechanismSpec) -> Allocation:
     )
 
 
-def allocate_shapley_mechanism(tree: RootedTree, spec: MechanismSpec) -> Allocation:
+def allocate_shapley_mechanism(tree: RootedTree, spec: EqualShares) -> Allocation:
     """Equal shares per referral among the invitee and all its ancestors.
 
     Identical to ``unit_value`` times the basic-game Shapley allocation; with
     ``root_adjust`` the root gives up one unit for its own free signup, which
     brings the total down to ``unit_value * (n - 1)``.
     """
-    _expect_kind(spec, SHAPLEY)
     allocation = shapley_basic(tree).scaled(spec.unit_value)
     if spec.root_adjust:
         allocation = root_adjust(allocation, tree.root, spec.unit_value)
@@ -177,11 +175,6 @@ _ALLOCATORS = {
 def allocate(tree: RootedTree, spec: MechanismSpec) -> Allocation:
     """Run whichever mechanism the spec names."""
     return _ALLOCATORS[spec.kind](tree, spec)
-
-
-def _expect_kind(spec: MechanismSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise ValueError(f"expected a {kind} spec, got {spec.kind}")
 
 
 @dataclass(frozen=True)

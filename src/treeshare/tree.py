@@ -307,29 +307,17 @@ class RootedTree:
         data). Nothing close to the full power set is ever materialised.
         """
         yield frozenset()
-        n = self.n
-        ids = self._ids
-        parents = self._parents
-        in_set = bytearray(n)
-        members: list[int] = [0]
-        in_set[0] = 1
-
-        def extend(start: int) -> Iterator[Coalition]:
-            yield frozenset(ids[r] for r in members)
-            for e in range(start, n):
-                if not in_set[parents[e]]:
-                    continue
-                in_set[e] = 1
-                members.append(e)
-                yield from extend(e + 1)
-                members.pop()
-                in_set[e] = 0
-
-        yield from extend(1)
+        yield from self.enumerate_trimmed_containing(self.root)
 
     def enumerate_trimmed_containing(self, i: int) -> Iterator[Coalition]:
         """Stream every trimmed coalition that contains ``i`` (and therefore
-        all of its ancestors), each exactly once, in a deterministic order."""
+        all of its ancestors), each exactly once.
+
+        The root path of ``i`` is extended depth-first with ever-later nodes
+        in canonical order, so the stream is lexicographic over the added
+        members. An explicit stack holds the next rank to try at each depth,
+        so no tree is too deep to enumerate.
+        """
         n = self.n
         ids = self._ids
         parents = self._parents
@@ -340,19 +328,22 @@ class RootedTree:
             in_set[r] = 1
             members.append(r)
             r = parents[r]
-
-        def extend(start: int) -> Iterator[Coalition]:
+        yield frozenset(ids[r] for r in members)
+        starts = [1]
+        while starts:
+            e = starts[-1]
+            while e < n and (in_set[e] or not in_set[parents[e]]):
+                e += 1
+            if e == n:
+                starts.pop()
+                if starts:  # leave the member that opened this depth
+                    in_set[members.pop()] = 0
+                continue
+            starts[-1] = e + 1
+            starts.append(e + 1)
+            in_set[e] = 1
+            members.append(e)
             yield frozenset(ids[r] for r in members)
-            for e in range(start, n):
-                if in_set[e] or not in_set[parents[e]]:
-                    continue
-                in_set[e] = 1
-                members.append(e)
-                yield from extend(e + 1)
-                members.pop()
-                in_set[e] = 0
-
-        yield from extend(1)
 
     def same_trim_count(self, members: Iterable[int]) -> int:
         """How many coalitions trim down to this exact trimmed set.

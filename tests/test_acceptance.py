@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from treeshare import (
+    EqualShares,
     IncrementalState,
-    MechanismSpec,
     TreeGame,
     ValueFunction,
     allocate_shapley_mechanism,
@@ -260,7 +260,7 @@ def test_criterion_8_incremental_equals_batch(tmp_path, capsys):
         ]
         state = replay_events(events, root=1, root_adjust=True)
         batch = allocate_shapley_mechanism(
-            state.to_tree(), MechanismSpec.shapley(1, root_adjust=True)
+            state.to_tree(), EqualShares(1, root_adjust=True)
         )
         ok = ok and state.allocation.rewards == batch.rewards
 

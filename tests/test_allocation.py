@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from conftest import random_tree_edges, shuffle_ids
 from treeshare import (
     Allocation,
+    EqualShares,
+    Geometric,
     IncrementalState,
-    MechanismSpec,
+    ReferAFriend,
     allocate_geometric,
     allocate_refer_a_friend,
     allocate_shapley_mechanism,
@@ -186,7 +188,7 @@ def test_integer_core_equal_shares_matches_reference(shape, unit):
     assert _checked(shapley_basic(tree).scaled(unit)) == {
         node: unit * v for node, v in expected.items()
     }
-    spec = MechanismSpec.shapley(unit, root_adjust=True)
+    spec = EqualShares(unit, root_adjust=True)
     adjusted = {node: unit * v for node, v in expected.items()}
     adjusted[root] -= unit
     assert _checked(allocate_shapley_mechanism(tree, spec)) == adjusted
@@ -213,7 +215,7 @@ def test_integer_core_equal_shares_matches_reference(shape, unit):
 @given(referral_trees(), units, ratios, st.booleans())
 def test_integer_core_geometric_matches_reference(shape, unit, ratio, normalize):
     edges, root = shape
-    spec = MechanismSpec.geometric(unit, ratio, normalize)
+    spec = Geometric(unit, ratio, normalize)
     assert _checked(allocate_geometric(build_tree(edges, root), spec)) == (
         reference_geometric(edges, root, ratio, unit, normalize)
     )
@@ -224,7 +226,7 @@ def test_integer_core_geometric_matches_reference(shape, unit, ratio, normalize)
                                              max_denominator=9))
 def test_integer_core_refer_a_friend_matches_reference(shape, unit, share):
     edges, root = shape
-    spec = MechanismSpec.refer_a_friend(unit, share)
+    spec = ReferAFriend(unit, share)
     assert _checked(allocate_refer_a_friend(build_tree(edges, root), spec)) == (
         reference_refer_a_friend(edges, root, share, unit)
     )

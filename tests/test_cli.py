@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +267,137 @@ def test_verify_failure_exits_two(example_file, capsys, monkeypatch):
     assert code == 2
     assert "FAIL" in out
     assert "verification failed" in err
+
+
+# -- flags and config file agree ---------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Each flag backed by a RunConfig field, with the config entry that means the
+# same thing; each changes the output of its command on f9. The shared
+# arguments go to every run of a case: the geometric and refer-a-friend
+# parameters are shown exactly, since at unit 1 their rounded values barely move.
+EXACT = ["--exact"]
+FLAG_ENTRIES = [
+    ("compute", [], ["--unit", "7/3"], {"unit": "7/3"}),
+    ("compute", [], ["--no-root-adjust"], {"root_adjust": False}),
+    ("compute", EXACT, ["--ratio", "2/3"], {"ratio": "2/3"}),
+    ("compute", EXACT, ["--no-normalize"], {"normalize": False}),
+    ("compute", EXACT, ["--referrer-share", "1/3"], {"referrer_share": "1/3"}),
+    ("compute", [], ["--exact"], {"exact": True}),
+    ("compute", [], ["--format", "records"], {"output_format": "records"}),
+    ("compute", [], ["--mechanism", "geometric", "--mechanism", "refer-a-friend"],
+     {"mechanisms": ["geometric", "refer-a-friend"]}),
+    ("stream", [], ["--unit", "2.5"], {"unit": 2.5}),
+    ("stream", [], ["--no-root-adjust"], {"root_adjust": False}),
+    ("stream", [], ["--exact"], {"exact": True}),
+    ("stream", [], ["--format", "csv"], {"output_format": "csv"}),
+    ("verify", [], ["--limit-bruteforce", "5"], {"limit_bruteforce": 5}),
+    ("verify", [], ["--limit-core", "5"], {"limit_core": 5}),
+    ("verify", [], ["--limit-convex", "5"], {"limit_convex": 5}),
+]
+
+
+def _golden_input(command: str) -> str:
+    return str(GOLDEN / ("f9.log" if command == "stream" else "f9.json"))
+
+
+@pytest.mark.parametrize(
+    "command,shared,flags,entry", FLAG_ENTRIES,
+    ids=[f"{c} {' '.join(f)}" for c, _, f, _ in FLAG_ENTRIES],
+)
+def test_flag_and_config_entry_give_identical_output(
+    command, shared, flags, entry, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry))
+    args = [command, _golden_input(command), *shared]
+    without = run(capsys, *args)
+    by_flag = run(capsys, *args, *flags)
+    by_file = run(capsys, *args, "--config", str(config))
+    assert by_flag[0] == 0
+    assert by_file == by_flag
+    assert by_flag[1] != without[1]
+
+
+def test_flag_beats_config_entry(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"unit": "1000", "ratio": "1/3", "exact": False,
+                                  "output_format": "csv", "limit_core": 3}))
+    tree = _golden_input("compute")
+    flags = ["--unit", "7/3", "--ratio", "2/3", "--exact", "--format", "records"]
+    assert (run(capsys, "compute", tree, "--config", str(config), *flags)
+            == run(capsys, "compute", tree, *flags))
+    assert (run(capsys, "verify", tree, "--config", str(config), "--limit-core", "16")
+            == run(capsys, "verify", tree))
+
+
+@pytest.mark.parametrize(
+    "command,entry,flags",
+    [
+        ("compute", {"root_adjust": "false"}, ["--no-root-adjust"]),
+        ("compute", {"unit": "abc"}, ["--unit", "2"]),
+        ("stream", {"exact": 1}, ["--exact"]),
+        ("verify", {"limit_core": 2.9}, ["--limit-core", "3"]),
+    ],
+)
+def test_bad_config_entry_fails_even_when_a_flag_overrides_it(
+    command, entry, flags, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry))
+    code, out, err = run(capsys, command, _golden_input(command),
+                         "--config", str(config), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert repr(next(iter(entry.values()))) in err
+    assert "Traceback" not in err
+
+
+def test_unused_mechanism_parameter_is_not_validated(capsys):
+    # A ratio matters only to the geometric mechanism.
+    code, out, _ = run(capsys, "compute", _golden_input("compute"),
+                       "--mechanism", "shapley", "--ratio", "1")
+    assert code == 0
+    assert out == run(capsys, "compute", _golden_input("compute"),
+                      "--mechanism", "shapley")[1]
+
+
+# -- unreadable and malformed input files --------------------------------------------
+
+@pytest.mark.parametrize("command", ["compute", "stream", "verify"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_unreadable_config_exits_1(command, missing, tmp_path, capsys):
+    path = tmp_path / "absent.json" if missing else tmp_path
+    code, out, err = run(capsys, command, _golden_input(command),
+                         "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_unreadable_event_log_exits_1(missing, tmp_path, capsys):
+    path = tmp_path / "absent.log" if missing else tmp_path
+    code, out, err = run(capsys, "stream", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["tree", "config"])
+def test_deeply_nested_json_exits_1(kind, tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    if kind == "tree":
+        argv = ["compute", str(nested)]
+    else:
+        argv = ["compute", _golden_input("compute"), "--config", str(nested)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {kind} file is nested too deeply")
+    assert "Traceback" not in err

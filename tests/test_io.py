@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from treeshare import (
+    EqualShares,
+    Geometric,
     InputFormatError,
     JoinEvent,
-    MechanismSpec,
+    ReferAFriend,
     RunConfig,
     TreeError,
     build_tree,
@@ -239,9 +241,9 @@ def _example_report(example_tree):
     return compare(
         example_tree,
         [
-            MechanismSpec.refer_a_friend(1000),
-            MechanismSpec.geometric(1000),
-            MechanismSpec.shapley(1000),
+            ReferAFriend(1000),
+            Geometric(1000),
+            EqualShares(1000),
         ],
     )
 

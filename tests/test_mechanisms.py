@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from treeshare import (
-    MechanismSpec,
+    EqualShares,
+    Geometric,
+    ReferAFriend,
     allocate,
     allocate_geometric,
     allocate_refer_a_friend,
@@ -27,13 +29,13 @@ from conftest import random_tree_edges, shuffle_ids
 # -- refer-a-friend ------------------------------------------------------------
 
 def test_refer_a_friend_example(example_tree):
-    spec = MechanismSpec.refer_a_friend(1000)
+    spec = ReferAFriend(1000)
     allocation = allocate_refer_a_friend(example_tree, spec)
     assert allocation.rewards == {1: 500, 3: 1500, 6: 500, 7: 500}
 
 
 def test_refer_a_friend_degenerate_cases():
-    spec = MechanismSpec.refer_a_friend(1000)
+    spec = ReferAFriend(1000)
     single = allocate_refer_a_friend(build_tree([], 1), spec)
     assert single.rewards == {1: 0}
     pair = allocate_refer_a_friend(chain(2), spec)
@@ -41,7 +43,7 @@ def test_refer_a_friend_degenerate_cases():
 
 
 def test_refer_a_friend_uneven_split():
-    spec = MechanismSpec.refer_a_friend(100, referrer_share="3/4")
+    spec = ReferAFriend(100, referrer_share="3/4")
     allocation = allocate_refer_a_friend(chain(2), spec)
     assert allocation.rewards == {1: 75, 2: 25}
 
@@ -51,14 +53,14 @@ def test_refer_a_friend_budget_is_unit_per_referral():
     for _ in range(10):
         n = rng.randint(1, 40)
         tree = build_tree(random_tree_edges(rng, n), 1)
-        spec = MechanismSpec.refer_a_friend(Fraction(7, 3))
+        spec = ReferAFriend(Fraction(7, 3))
         assert allocate_refer_a_friend(tree, spec).total == Fraction(7, 3) * (n - 1)
 
 
 # -- geometric -----------------------------------------------------------------
 
 def test_geometric_example_normalized(example_tree):
-    spec = MechanismSpec.geometric(1000)
+    spec = Geometric(1000)
     shares = geometric_raw_shares(example_tree, spec.ratio)
     assert shares == {1: 1, 3: 1, 6: 0, 7: 0}
     allocation = allocate_geometric(example_tree, spec)
@@ -66,7 +68,7 @@ def test_geometric_example_normalized(example_tree):
 
 
 def test_geometric_unnormalized_chain():
-    spec = MechanismSpec.geometric(1, normalize=False)
+    spec = Geometric(1, normalize=False)
     allocation = allocate_geometric(chain(3), spec)
     assert allocation.rewards == {
         1: Fraction(3, 4),
@@ -77,7 +79,7 @@ def test_geometric_unnormalized_chain():
 
 def test_geometric_single_node_is_all_zero():
     for normalize in (True, False):
-        spec = MechanismSpec.geometric(1000, normalize=normalize)
+        spec = Geometric(1000, normalize=normalize)
         assert allocate_geometric(build_tree([], 1), spec).rewards == {1: 0}
 
 
@@ -86,7 +88,7 @@ def test_geometric_budget_and_leaf_zeroes():
     for _ in range(10):
         n = rng.randint(2, 40)
         tree = build_tree(random_tree_edges(rng, n), 1)
-        spec = MechanismSpec.geometric(10, ratio="2/5")
+        spec = Geometric(10, ratio="2/5")
         allocation = allocate_geometric(tree, spec)
         assert allocation.total == 10 * (n - 1)
         for i in tree.node_ids:
@@ -111,15 +113,15 @@ def test_geometric_share_bounds():
 
 def test_geometric_ratio_validation():
     with pytest.raises(ValueError, match="strictly between"):
-        MechanismSpec.geometric(1, ratio=1)
+        Geometric(1, ratio=1)
     with pytest.raises(ValueError, match="strictly between"):
-        MechanismSpec.geometric(1, ratio=0)
+        Geometric(1, ratio=0)
 
 
 # -- shapley mechanism -----------------------------------------------------------
 
 def test_shapley_mechanism_example(example_tree):
-    spec = MechanismSpec.shapley(1000)
+    spec = EqualShares(1000)
     allocation = allocate_shapley_mechanism(example_tree, spec)
     assert allocation.rewards == {
         1: Fraction(7000, 6),
@@ -131,7 +133,7 @@ def test_shapley_mechanism_example(example_tree):
 
 
 def test_shapley_mechanism_no_adjust_single_node():
-    spec = MechanismSpec.shapley(1, root_adjust=False)
+    spec = EqualShares(1, root_adjust=False)
     assert allocate_shapley_mechanism(build_tree([], 1), spec).rewards == {1: 1}
 
 
@@ -170,7 +172,7 @@ def test_shapley_mechanism_equals_per_join_equal_shares():
         cases.append(build_tree(edges, root))
     for tree in cases:
         unit = Fraction(rng.randint(1, 2000))
-        spec = MechanismSpec.shapley(unit)
+        spec = EqualShares(unit)
         assert allocate_shapley_mechanism(tree, spec).rewards == (
             _per_join_equal_shares(tree, unit, root_adjust=True)
         )
@@ -179,8 +181,8 @@ def test_shapley_mechanism_equals_per_join_equal_shares():
 def test_shapley_mechanism_totals():
     rng = random.Random(97)
     tree = build_tree(random_tree_edges(rng, 12), 1)
-    on = allocate_shapley_mechanism(tree, MechanismSpec.shapley(5))
-    off = allocate_shapley_mechanism(tree, MechanismSpec.shapley(5, root_adjust=False))
+    on = allocate_shapley_mechanism(tree, EqualShares(5))
+    off = allocate_shapley_mechanism(tree, EqualShares(5, root_adjust=False))
     assert on.total == 5 * (tree.n - 1)
     assert off.total == 5 * tree.n
     assert off.rewards == shapley_basic(tree).scaled(5).rewards
@@ -189,9 +191,9 @@ def test_shapley_mechanism_totals():
 # -- comparison -------------------------------------------------------------------
 
 TABLE_SPECS = [
-    MechanismSpec.refer_a_friend(1000),
-    MechanismSpec.geometric(1000),
-    MechanismSpec.shapley(1000),
+    ReferAFriend(1000),
+    Geometric(1000),
+    EqualShares(1000),
 ]
 
 
@@ -214,24 +216,37 @@ def test_compare_requires_specs(example_tree):
 
 
 def test_compare_is_deterministic(example_tree):
-    spec = MechanismSpec.shapley(1000)
+    spec = EqualShares(1000)
     report = compare(example_tree, [spec, spec])
     first, second = report.allocations()
     assert first.rewards == second.rewards
 
 
-def test_allocate_dispatch_and_kind_guard(example_tree):
-    spec = MechanismSpec.geometric(1000)
-    assert allocate(example_tree, spec).rewards == allocate_geometric(
-        example_tree, spec
-    ).rewards
-    with pytest.raises(ValueError, match="expected a"):
-        allocate_refer_a_friend(example_tree, spec)
+def test_allocate_dispatches_on_the_spec_type(example_tree):
+    for spec, allocator in [
+        (ReferAFriend(1000), allocate_refer_a_friend),
+        (Geometric(1000), allocate_geometric),
+        (EqualShares(1000), allocate_shapley_mechanism),
+    ]:
+        assert allocate(example_tree, spec) == allocator(example_tree, spec)
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown mechanism"):
-        MechanismSpec("lottery")
+def test_specs_carry_only_their_own_parameters():
+    assert set(vars(ReferAFriend())) == {"unit_value", "referrer_share"}
+    assert set(vars(Geometric())) == {"unit_value", "ratio", "normalize"}
+    assert set(vars(EqualShares())) == {"unit_value", "root_adjust"}
+    assert [spec.kind for spec in (ReferAFriend, Geometric, EqualShares)] == [
+        "refer_a_friend", "geometric", "shapley"]
+
+
+def test_spec_parameters_are_coerced_and_validated():
+    spec = Geometric("5/2", ratio="0.25")
+    assert (spec.unit_value, spec.ratio) == (Fraction(5, 2), Fraction(1, 4))
+    assert isinstance(EqualShares(3).unit_value, Fraction)
+    with pytest.raises(TypeError, match="float"):
+        ReferAFriend(1.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ReferAFriend(1, referrer_share="3/2")
 
 
 def test_star_payouts_differ_by_mechanism():

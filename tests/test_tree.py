@@ -343,3 +343,37 @@ def test_chain_and_star_roots():
     assert star(1).n == 1
     assert chain(4).depth(4) == 3
     assert star(5).height == 1
+
+
+def _canonical_key(tree):
+    """Sort key of a coalition in canonical order: ascending ids when every
+    edge points id-upward, otherwise (depth, id)."""
+    monotone = all(tree.parent(i) < i for i in tree.node_ids if i != tree.root)
+    order = (lambda i: i) if monotone else (lambda i: (tree.depth(i), i))
+    return lambda coalition: sorted(map(order, coalition))
+
+
+def test_enumeration_order_is_lexicographic_in_canonical_order():
+    rng = random.Random(23)
+    for trial in range(12):
+        edges = random_tree_edges(rng, rng.randint(1, 9))
+        root = 1
+        if trial % 2:
+            edges, root = shuffle_ids(rng, edges, 1)
+        tree = build_tree(edges, root)
+        key = _canonical_key(tree)
+        everything = list(tree.enumerate_trimmed())
+        assert everything[0] == frozenset()
+        assert everything[1:] == sorted(everything[1:], key=key)
+        for i in tree.node_ids:
+            # ordered by the members added to the root path of i
+            path = tree.ancestors(i) | {i}
+            got = list(tree.enumerate_trimmed_containing(i))
+            assert got == sorted(got, key=lambda s: key(s - path))
+
+
+def test_enumeration_of_a_deep_chain_does_not_recurse():
+    t = chain(1500)
+    assert sum(1 for _ in t.enumerate_trimmed()) == 1501
+    assert list(t.enumerate_trimmed_containing(1500)) == [frozenset(range(1, 1501))]
+    assert sum(1 for _ in t.enumerate_trimmed_containing(1)) == 1500

@@ -30,6 +30,12 @@ def as_fraction(value: Rational | int | str) -> Fraction:
     return Fraction(value)
 
 
+def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the lcm of their denominators."""
+    denominator = lcm(*{v.denominator for v in values})
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
 def exact_and_display(numerator: int, denominator: int) -> tuple[str, int]:
     """The reduced "p/q" (or plain integer) text of ``numerator/denominator``
     and its value rounded half-away-from-zero; ``denominator`` is positive."""
@@ -38,6 +44,30 @@ def exact_and_display(numerator: int, denominator: int) -> tuple[str, int]:
     exact = str(numerator // g) if q == 1 else f"{numerator // g}/{q}"
     magnitude = (2 * abs(numerator) + denominator) // (2 * denominator)
     return exact, magnitude if numerator >= 0 else -magnitude
+
+
+_CHUNK_DIGITS = 600  # below the smallest digit limit Python allows (640)
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_text(value: int) -> str:
+    """``str(value)`` for an int of any length.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()`` digits
+    (4300 by default), and coalition counts on trees of 10^4 nodes are
+    longer; those are written out in fixed-width chunks of 600 digits.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    magnitude = abs(value)
+    chunks = []
+    while magnitude >= _CHUNK:
+        magnitude, low = divmod(magnitude, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(magnitude))
+    return ("-" if value < 0 else "") + "".join(reversed(chunks))
 
 
 def round_half_away_from_zero(value: Fraction) -> int:
@@ -68,12 +98,11 @@ class Allocation:
         denominator: int | None = None,
     ) -> None:
         if denominator is None:
-            rewards = {node: as_fraction(v) for node, v in values.items()}
-            denominator = lcm(*(v.denominator for v in rewards.values()))
-            numerators = {
-                node: v.numerator * (denominator // v.denominator)
-                for node, v in rewards.items()
-            }
+            nodes = list(values)
+            common, denominator = common_numerators(
+                [as_fraction(values[node]) for node in nodes]
+            )
+            numerators = dict(zip(nodes, common))
         elif denominator.__class__ is not int or denominator <= 0:
             raise ValueError(f"denominator must be a positive int, got {denominator!r}")
         else:

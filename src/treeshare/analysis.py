@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .allocation import Allocation
+from .allocation import Allocation, decimal_text
 from .games import TreeGame, basic_game, coalition_values_by_mask
 from .shapley import SizeLimitError, shapley_basic, shapley_bruteforce, shapley_general
 from .tree import Coalition, RootedTree
@@ -44,11 +45,15 @@ def is_in_core(
             f"allocation total {allocation.total} does not distribute the "
             f"grand coalition value {grand}"
         )
-    values = coalition_values_by_mask(game)
+    values, value_den = coalition_values_by_mask(game)
+    # Payoffs and values as integers over one common denominator.
+    denominator = lcm(value_den, allocation.denominator)
+    pay_scale = denominator // allocation.denominator
+    value_scale = denominator // value_den
     ids = tree._ids
-    payoff = [allocation[ids[r]] for r in range(n)]
+    payoff = [allocation.numerators[ids[r]] * pay_scale for r in range(n)]
 
-    paysum: list[Fraction] = [Fraction(0)] * (1 << n)
+    paysum = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         paysum[mask] = paysum[mask ^ low] + payoff[low.bit_length() - 1]
@@ -56,7 +61,7 @@ def is_in_core(
     best_key: tuple[int, ...] | None = None
     best_mask = 0
     for mask in range(1, 1 << n):
-        if paysum[mask] >= values[mask]:
+        if paysum[mask] >= values[mask] * value_scale:
             continue
         key = tuple(sorted(ids[r] for r in range(n) if mask & (1 << r)))
         if best_key is None or key < best_key:
@@ -66,7 +71,9 @@ def is_in_core(
     return CoreCheckResult(
         in_core=False,
         violator=frozenset(best_key),
-        deficit=values[best_mask] - paysum[best_mask],
+        deficit=Fraction(
+            values[best_mask] * value_scale - paysum[best_mask], denominator
+        ),
     )
 
 
@@ -92,22 +99,19 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
     n = tree.n
     if n > limit:
         raise SizeLimitError(f"convexity check over {n} agents exceeds limit {limit}")
-    values = coalition_values_by_mask(game)
+    values, _ = coalition_values_by_mask(game)  # one positive denominator
     ids = tree._ids
+    bits = [1 << r for r in range(n)]
     for mask in range(1 << n):
-        for j in range(n):
-            jbit = 1 << j
-            if mask & jbit:
-                continue
-            bigger = mask | jbit
-            for i in range(n):
-                ibit = 1 << i
-                if i == j or (mask & ibit):
-                    continue
-                mc_small = values[mask | ibit] - values[mask]
-                mc_big = values[bigger | ibit] - values[bigger]
-                if mc_small > mc_big:
-                    members = [ids[r] for r in range(n) if mask & (1 << r)]
+        free = [r for r in range(n) if not mask & bits[r]]
+        base = values[mask]
+        gain = {i: values[mask | bits[i]] - base for i in free}
+        for j in free:
+            bigger = mask | bits[j]
+            above = values[bigger]
+            for i in free:
+                if i != j and gain[i] > values[bigger | bits[i]] - above:
+                    members = [ids[r] for r in range(n) if mask & bits[r]]
                     return ConvexityResult(
                         convex=False,
                         agent=ids[i],
@@ -120,30 +124,35 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
 def count_trimmed_containing(tree: RootedTree, i: int) -> int:
     """How many trimmed coalitions contain node ``i``.
 
-    Dynamic programming: a node's subtree admits ``prod(1 + t(child))``
-    parent-closed sets through it. Forcing ``i`` and its ancestors in leaves
-    a free choice exactly at the children hanging off the forced path.
+    A lookup: the tree computes every node's count in two linear passes on
+    first use (see ``RootedTree._trimmed_counts``). Forcing ``i`` and its
+    ancestors in leaves a free choice of ``1 + t(c)`` at each child ``c``
+    hanging off the forced path, where ``t(c)`` counts the parent-closed
+    sets of c's subtree through ``c``.
     """
-    n = tree.n
-    children = tree._children
-    t = [1] * n
-    for r in range(n - 1, -1, -1):
-        product = 1
-        for c in children[r]:
-            product *= 1 + t[c]
-        t[r] = product
+    return tree._trimmed_counts()[tree._rank_of(i)]
 
-    forced = set()
-    r = tree._rank_of(i)
-    while r >= 0:
-        forced.add(r)
-        r = tree._parents[r]
-    result = 1
-    for v in forced:
-        for c in children[v]:
-            if c not in forced:
-                result *= 1 + t[c]
-    return result
+
+def trimmed_work(tree: RootedTree) -> int:
+    """``count_trimmed_containing`` summed over every node: the total size
+    of the nonempty trimmed coalitions, which is the work of the
+    per-node trimmed-coalition sum.
+
+    Two bottom-up passes that keep no per-node count, so memory stays near
+    the size of the tree. Among the parent-closed sets of r's subtree that
+    contain r, ``t(r) = prod(1 + t(c))`` counts them and ``s(r)`` sums their
+    sizes: each is r plus, at every child c, nothing or one such set of
+    c's subtree, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
+    """
+    parents = tree._parents
+    t = [1] * tree.n
+    for r in range(tree.n - 1, 0, -1):
+        t[parents[r]] *= 1 + t[r]
+    s = t[:]
+    for r in range(tree.n - 1, 0, -1):
+        p = parents[r]
+        s[p] += s[r] * (t[p] // (1 + t[r]))
+    return s[0]
 
 
 def binary_tree_count(h: int, d: int) -> int:
@@ -264,7 +273,7 @@ def run_verification(
             )
         )
 
-    general_work = sum(count_trimmed_containing(tree, i) for i in tree.node_ids)
+    general_work = trimmed_work(tree)
     if general_work <= GENERAL_CHECK_BUDGET:
         general = shapley_general(game)
         status = PASS if general.rewards == closed_form.rewards else FAIL
@@ -274,7 +283,7 @@ def run_verification(
             CheckOutcome(
                 "closed form vs trimmed-coalition sum",
                 SKIPPED,
-                f"{general_work} trimmed coalitions exceed budget "
+                f"{decimal_text(general_work)} trimmed coalitions exceed budget "
                 f"{GENERAL_CHECK_BUDGET}",
             )
         )

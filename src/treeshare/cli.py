@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import analysis
-from .allocation import exact_and_display
+from .allocation import decimal_text, exact_and_display
 from .io import (
     OUTPUT_FORMATS,
     InputFormatError,
@@ -120,10 +120,13 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
     except OSError as exc:
         raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
     with handle:
-        state = replay_events(
-            parse_event_log(handle), root,
-            root_adjust=config.root_adjust, on_delta=emit,
-        )
+        try:
+            state = replay_events(
+                parse_event_log(handle), root,
+                root_adjust=config.root_adjust, on_delta=emit,
+            )
+        except UnicodeDecodeError as exc:  # raised as the lines are read
+            raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
     final = state.allocation.scaled(unit_value)
     click.echo(render_allocation(final, config.output_format, config.exact), nl=False)
 
@@ -162,27 +165,36 @@ def count(treefile, strict) -> None:
     """Per-node coalition counts for each Shapley computation route."""
     document = parse_tree_file(read_text(treefile), strict)
     tree = document.tree
-    rows = analysis.complexity_table(tree)
-    perfect = analysis.is_complete_binary_tree(tree)
     headers = ["node", "depth", "cfg", "tree_game", "basic"]
-    if perfect:
+    table = [
+        [row.node, tree.depth(row.node), row.cfg_count, row.tree_game_count,
+         row.basic_count]
+        for row in analysis.complexity_table(tree)
+    ]
+    if analysis.is_complete_binary_tree(tree):
         headers.append("binary_closed_form")
-    grid = [headers]
-    for row in rows:
-        cells = [row.node, tree.depth(row.node), row.cfg_count,
-                 row.tree_game_count, row.basic_count]
-        if perfect:
-            closed = analysis.binary_tree_count(tree.height, tree.depth(row.node))
-            if closed != row.tree_game_count:
+        for cells in table:
+            closed = analysis.binary_tree_count(tree.height, cells[1])
+            if closed != cells[3]:
                 raise VerificationFailure(
-                    f"closed-form count {closed} disagrees with tree count "
-                    f"{row.tree_game_count} at node {row.node}"
+                    f"closed-form count {decimal_text(closed)} disagrees with "
+                    f"tree count {decimal_text(cells[3])} at node {cells[0]}"
                 )
             cells.append(closed)
-        grid.append([str(c) for c in cells])
-    widths = [max(len(line[k]) for line in grid) for k in range(len(headers))]
-    for line in grid:
-        click.echo("  ".join(cell.rjust(widths[k]) for k, cell in enumerate(line)))
+    # Every cell is a nonnegative int, so a column is as wide as its largest
+    # value; rows are then written one at a time, each count turned into
+    # text once and the shared cfg = 2**(n-1) only once in all.
+    widths = [
+        max(len(header), len(decimal_text(max(cells[k] for cells in table))))
+        for k, header in enumerate(headers)
+    ]
+    cfg = decimal_text(table[0][2]).rjust(widths[2])
+    click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
+    for cells in table:
+        click.echo("  ".join(
+            cfg if k == 2 else decimal_text(c).rjust(w)
+            for k, (c, w) in enumerate(zip(cells, widths))
+        ))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .allocation import as_fraction
+from .allocation import as_fraction, common_numerators
 from .tree import Coalition, RootedTree
 
 BASIC = "basic"
@@ -174,26 +174,37 @@ def scale_game(game: TreeGame, k: RationalLike) -> TreeGame:
     return TreeGame(game.tree, game.f.scaled(k))
 
 
-def coalition_values_by_mask(game: TreeGame) -> list[Fraction]:
-    """Coalition values for all ``2**n`` subsets, indexed by bitmask.
+def coalition_values_by_mask(game: TreeGame) -> tuple[list[int], int]:
+    """Coalition values for all ``2**n`` subsets, indexed by bitmask, as
+    integer numerators over the lcm of their denominators.
 
     Bit ``r`` of the mask selects the node with canonical rank ``r`` (bit 0
-    is the root). Intended for exhaustive checks on small trees; callers
-    enforce their own size limits.
+    is the root). The highest set bit of a mask has no child in it, so the
+    trimmed part of a mask is that of the mask without its highest bit, plus
+    that bit when its parent was kept: O(1) per mask. ``f`` is evaluated
+    once per trimmed coalition, in ascending mask order, and every other
+    mask shares the value of its trimmed part. Intended for exhaustive
+    checks on small trees; callers enforce their own size limits.
     """
     tree = game.tree
     n = tree.n
     ids = tree._ids
     parents = tree._parents
     f = game.f
-    zero = f.of(frozenset())
-    values = [zero] * (1 << n)
-    for mask in range(1, 1 << n, 2):  # root absent => trimmed part is empty
-        kept = 1
-        for r in range(1, n):
-            bit = 1 << r
-            if mask & bit and kept & (1 << parents[r]):
-                kept |= bit
-        members = frozenset(ids[r] for r in range(n) if kept & (1 << r))
-        values[mask] = f.of(members)
-    return values
+    kept = [0] * (1 << n)  # the trimmed part of each mask
+    trimmed = {0: f.of(frozenset()), 1: f.of(frozenset([tree.root]))}
+    kept[1] = 1
+    for mask in range(3, 1 << n, 2):  # root absent => trimmed part is empty
+        top = mask.bit_length() - 1
+        rest = kept[mask ^ (1 << top)]
+        if rest >> parents[top] & 1:
+            kept[mask] = mask_kept = rest | 1 << top
+            if mask_kept == mask:
+                trimmed[mask] = f.of(
+                    frozenset(ids[r] for r in range(n) if mask >> r & 1)
+                )
+        else:
+            kept[mask] = rest
+    numerators, denominator = common_numerators(list(trimmed.values()))
+    by_mask = dict(zip(trimmed, numerators))
+    return [by_mask[k] for k in kept], denominator

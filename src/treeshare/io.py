@@ -48,11 +48,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of a file; an unreadable path is an input error."""
+    """The UTF-8 text of a file; an unreadable path or a file that is not
+    UTF-8 is an input error naming the path."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -103,15 +104,22 @@ def parse_tree_document(data: dict, strict: bool = True) -> TreeDocument:
                 raise InputFormatError(f"edge #{idx}: unknown fields {sorted(unknown)}")
         edges.append((entry["child"], entry["parent"]))
     tree = build_tree(edges, data["root"])
+    labels_field = data.get("labels")
+    if labels_field is None:
+        labels_field = {}
+    elif not isinstance(labels_field, dict):
+        raise InputFormatError("'labels' must be an object mapping node ids to names")
     labels: dict[int, str] = {}
-    for key, name in (data.get("labels") or {}).items():
+    for key, name in labels_field.items():
         try:
             node = int(key)
         except (TypeError, ValueError):
             raise InputFormatError(f"label key {key!r} is not a node id") from None
         if node not in tree:
             raise InputFormatError(f"label for unknown node {node}")
-        labels[node] = str(name)
+        if not isinstance(name, str):
+            raise InputFormatError(f"label for node {node} must be a JSON string")
+        labels[node] = name
     return TreeDocument(tree=tree, labels=labels)
 
 

@@ -5,7 +5,8 @@ Three routes to the same numbers, used to check each other:
 * ``shapley_bruteforce`` -- the definition, summed over coalitions with
   permutation-count weights. Exponential; the oracle for small trees.
 * ``shapley_general``    -- a sum over trimmed coalitions only, with exact
-  factorial coefficients. Works for any value function.
+  factorial coefficients. Works for any value function; one pass visits
+  each trimmed coalition once and evaluates ``f`` on it once, in integers.
 * ``shapley_basic``      -- the linear-time closed form for the unit-per-member
   game: every node's reward is the sum of ``1/(depth+1)`` over its subtree.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .allocation import Allocation, as_fraction
+from .allocation import Allocation, as_fraction, common_numerators
 from .games import TreeGame, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, build_tree
 
@@ -53,23 +54,30 @@ def shapley_basic(tree: RootedTree) -> Allocation:
     return Allocation(zip(tree._ids, acc), common)
 
 
+def _reduced(tree: RootedTree, numerators: list[int], denominator: int) -> Allocation:
+    """Per-rank numerators over ``denominator``, divided by their common
+    factor, so the denominator is the lcm of the rewards' denominators."""
+    g = gcd(denominator, *numerators)
+    return Allocation(
+        zip(tree._ids, (v // g for v in numerators)), denominator // g
+    )
+
+
 def shapley_bruteforce(game: TreeGame, limit: int = 10) -> Allocation:
     """Exact Shapley rewards straight from the definition.
 
     Sums marginal contributions over all coalitions, weighting each by the
     number of join orders that realise it. Exponential in ``n``; refuses to
-    run past ``limit`` agents.
+    run past ``limit`` agents. Values are integer numerators over their
+    common denominator ``D`` and the weights integers over ``n!``, so the
+    sums are in integers over ``n! * D``.
     """
     n = game.tree.n
     if n > limit:
         raise SizeLimitError(f"brute force over {n} agents exceeds limit {limit}")
-    values = coalition_values_by_mask(game)
-    n_fact = factorial(n)
-    weights = [
-        Fraction(factorial(size) * factorial(n - size - 1), n_fact)
-        for size in range(n)
-    ]
-    totals = [Fraction(0)] * n
+    values, denominator = coalition_values_by_mask(game)
+    weights = [factorial(size) * factorial(n - size - 1) for size in range(n)]
+    totals = [0] * n
     for mask in range((1 << n) - 1):  # the full coalition has nobody left to join
         w = weights[mask.bit_count()]
         before = values[mask]
@@ -80,41 +88,75 @@ def shapley_bruteforce(game: TreeGame, limit: int = 10) -> Allocation:
             gain = values[mask | bit] - before
             if gain:
                 totals[r] += w * gain
-    ids = game.tree._ids
-    return Allocation({ids[r]: totals[r] for r in range(n)})
+    return _reduced(game.tree, totals, factorial(n) * denominator)
 
 
 def shapley_general(game: TreeGame) -> Allocation:
-    """Exact Shapley rewards via enumeration of trimmed coalitions only.
+    """Exact Shapley rewards from one pass over the trimmed coalitions.
 
-    For each node, its reward is a weighted sum over the trimmed coalitions
-    containing it of the value lost by deleting the node's whole subtree from
-    the coalition. The weight counts the join orders compatible with the
-    coalition forming around the node, divided by ``n!``; coefficients are
-    built from arbitrary-precision factorials, so there is no overflow.
+    A node's reward is a weighted sum, over the trimmed coalitions ``S``
+    containing it, of the value lost by deleting the node's whole subtree
+    from ``S``; the weight ``b! (|S|-1)! / (|S|+b)!``, where ``b`` counts
+    the nodes just outside ``S`` (its boundary), counts the join orders in
+    which ``S`` forms around the node. The weight depends on ``S`` only, so:
+
+    * ``enumerate_trimmed`` visits each trimmed coalition once, and ``f`` is
+      evaluated once per coalition, keyed by its rank bitmask as an integer
+      numerator over the lcm ``D`` of the value denominators;
+    * each member's gain ``f(S) - f(S minus subtree)`` is two lookups, since
+      removing a whole subtree from a parent-closed set leaves one (a set
+      that were not would raise ``KeyError``);
+    * gains are summed per ``(|S|, b)`` class, and each class's weight,
+      an integer over ``n!``, is applied once per member.
     """
     tree = game.tree
+    n = tree.n
     f = game.f
-    child_count = {i: len(tree.children(i)) for i in tree.node_ids}
-    rewards: dict[int, Fraction] = {}
-    for i in tree.node_ids:
-        subtree = tree.subtree_nodes(i)
-        total = Fraction(0)
-        for coalition in tree.enumerate_trimmed_containing(i):
-            size = len(coalition)
-            boundary = sum(child_count[m] for m in coalition) - (size - 1)
-            without_subtree = coalition - subtree
-            # Removing a whole subtree from a parent-closed set keeps it
-            # parent-closed, so no re-trim is needed.
-            assert tree.is_trimmed(without_subtree)
-            gain = f.of(coalition) - f.of(without_subtree)
+    rank = tree._rank
+    children = tree._children
+    parents = tree._parents
+    subtree = [1 << r for r in range(n)]
+    for r in range(n - 1, 0, -1):
+        subtree[parents[r]] |= subtree[r]
+
+    masks: list[int] = []
+    values: list[Fraction] = []
+    classes: dict[tuple[int, int], list[int]] = {}
+    for coalition in tree.enumerate_trimmed():
+        mask = 0
+        boundary = 1  # children of members, less the members except the root
+        for m in coalition:
+            r = rank[m]
+            mask |= 1 << r
+            boundary += len(children[r]) - 1
+        masks.append(mask)
+        values.append(f.of(coalition))
+        if coalition:
+            classes.setdefault((len(coalition), boundary), []).append(mask)
+    numerators, denominator = common_numerators(values)
+    value = dict(zip(masks, numerators))
+
+    n_fact = factorial(n)
+    totals = [0] * n
+    for (size, boundary), group in classes.items():
+        gains = [0] * n
+        for mask in group:
+            v = value[mask]
+            rest = mask
+            while rest:
+                low = rest & -rest
+                r = low.bit_length() - 1
+                gains[r] += v - value[mask & ~subtree[r]]
+                rest ^= low
+        weight = (
+            factorial(boundary)
+            * factorial(size - 1)
+            * (n_fact // factorial(size + boundary))
+        )
+        for r, gain in enumerate(gains):
             if gain:
-                total += Fraction(
-                    factorial(boundary) * factorial(size - 1),
-                    factorial(size + boundary),
-                ) * gain
-        rewards[i] = total
-    return Allocation(rewards)
+                totals[r] += weight * gain
+    return _reduced(tree, totals, n_fact * denominator)
 
 
 def shapley_value(game: TreeGame) -> Allocation:

@@ -33,7 +33,8 @@ class RootedTree:
     Nodes are stored densely in a canonical parent-before-child order so that
     traversal and trimming loops stay tight; the public surface always speaks
     original ids. Instances never change after construction and are safe to
-    share across threads.
+    share across threads; the one cache, of trimmed-coalition counts, is
+    filled on first use with the same value whichever thread fills it.
     """
 
     __slots__ = (
@@ -47,6 +48,7 @@ class RootedTree:
         "_subheights",
         "_height",
         "_sorted_ids",
+        "_counts",
     )
 
     def __init__(self, edges: Iterable[tuple[int, int]], root: int):
@@ -132,6 +134,7 @@ class RootedTree:
         self._subheights = tuple(subheights)
         self._height = max(self._depths)
         self._sorted_ids = tuple(sorted(order))
+        self._counts: tuple[int, ...] | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -344,6 +347,29 @@ class RootedTree:
             in_set[e] = 1
             members.append(e)
             yield frozenset(ids[r] for r in members)
+
+    def _trimmed_counts(self) -> tuple[int, ...]:
+        """Per canonical rank, how many trimmed coalitions contain that node.
+
+        ``t(r)``, the parent-closed sets of r's subtree that contain r, is
+        ``prod(1 + t(child))``, filled bottom-up. Then ``count(root) =
+        t(root)``, and a child ``c`` splits its parent's count into the
+        ``t(c)`` choices that include it and the one that does not, so
+        ``count(c) = count(parent) * t(c) / (1 + t(c))`` top-down. Computed
+        on first use and kept: building a tree pays nothing for it.
+        """
+        counts = self._counts
+        if counts is None:
+            n = self.n
+            parents = self._parents
+            t = [1] * n
+            for r in range(n - 1, 0, -1):
+                t[parents[r]] *= 1 + t[r]
+            found = [t[0]] * n
+            for r in range(1, n):
+                found[r] = found[parents[r]] * t[r] // (1 + t[r])
+            counts = self._counts = tuple(found)
+        return counts
 
     def same_trim_count(self, members: Iterable[int]) -> int:
         """How many coalitions trim down to this exact trimmed set.

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from treeshare import RootedTree, build_tree, coalition_value
 
@@ -116,6 +117,18 @@ def shuffle_ids(rng: random.Random, edges: Edges, root: int) -> tuple[Edges, int
     new_ids = rng.sample(range(1, 10 * len(nodes) + 1), len(nodes))
     mapping = dict(zip(nodes, new_ids))
     return [(mapping[c], mapping[p]) for c, p in edges], mapping[root]
+
+
+@st.composite
+def seeded_trees(draw, max_nodes: int = 9) -> RootedTree:
+    """A random recursive tree on 1..max_nodes nodes, sometimes depth-capped
+    and sometimes with shuffled ids (breaking parent-before-child order)."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    edges = random_tree_edges(rng, n, draw(st.sampled_from([None, 1, 2, 4])))
+    if draw(st.booleans()):
+        return build_tree(*shuffle_ids(rng, edges, 1))
+    return build_tree(edges, 1)
 
 
 @lru_cache(maxsize=None)

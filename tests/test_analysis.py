@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from treeshare import (
     Allocation,
@@ -23,11 +24,20 @@ from treeshare import (
     is_convex,
     is_in_core,
     run_verification,
+    scale_game,
     shapley_basic,
+    shapley_bruteforce,
     star,
 )
+from treeshare.analysis import trimmed_work
 
-from conftest import random_tree_edges, trimmed_by_enumeration
+from conftest import (
+    F9_EDGES,
+    random_tree_edges,
+    seeded_trees,
+    shuffle_ids,
+    trimmed_by_enumeration,
+)
 
 
 # -- core ---------------------------------------------------------------------
@@ -135,6 +145,35 @@ def test_count_matches_enumeration_everywhere(f9):
         assert stream_total == sum(len(s) for s in everything)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seeded_trees(max_nodes=12))
+def test_count_equals_enumeration_on_random_trees(tree):
+    for i in tree.node_ids:
+        assert count_trimmed_containing(tree, i) == len(
+            list(tree.enumerate_trimmed_containing(i))
+        )
+    assert trimmed_work(tree) == sum(len(s) for s in tree.enumerate_trimmed())
+
+
+def test_trimmed_work_sums_the_counts_on_larger_trees():
+    rng = random.Random(109)
+    for n, cap in ((60, None), (300, 4), (2000, 50)):
+        tree = build_tree(random_tree_edges(rng, n, cap), 1)
+        assert trimmed_work(tree) == sum(
+            count_trimmed_containing(tree, i) for i in tree.node_ids
+        )
+
+
+def test_counts_are_computed_on_first_use_only():
+    tree = build_tree(random_tree_edges(random.Random(113), 500, 6), 1)
+    assert tree._counts is None  # building a tree pays nothing for them
+    first = count_trimmed_containing(tree, 1)
+    counts = tree._counts
+    assert counts is not None and counts[0] == first
+    assert count_trimmed_containing(tree, 500) == counts[tree._rank[500]]
+    assert tree._counts is counts
+
+
 def test_binary_tree_count_base_cases():
     assert binary_tree_count(0, 0) == 1
     assert binary_tree_count(1, 0) == 4
@@ -226,3 +265,95 @@ def test_run_verification_detects_corrupted_allocation(example_tree):
     core = next(c for c in report.checks if c.name == "core membership")
     assert core.status == "fail"
     assert "coalition [1]" in core.detail
+
+
+# -- witnesses pinned from the Fraction-based checks ---------------------------
+#
+# The exhaustive checks work on integer numerators over one denominator; the
+# witnesses below were recorded from the earlier implementation, which
+# compared Fractions, and must not change.
+
+def _explicit_game(rng: random.Random, tree) -> TreeGame:
+    return TreeGame(tree, ValueFunction.explicit({
+        s: Fraction(rng.randint(-20, 40), rng.randint(1, 7))
+        for s in tree.enumerate_trimmed() if s
+    }))
+
+
+def _uniform_tree(rng: random.Random, n: int):
+    """A tree where node k picks a uniform parent among 1..k-1."""
+    return [(k, rng.randint(1, k - 1)) for k in range(2, n + 1)]
+
+
+def _dented_f9() -> TreeGame:
+    """Values |S|**2 on f9, except 5 less on {1, 2, 4, 9}."""
+    f9 = build_tree(F9_EDGES, 1)
+    dent = frozenset({1, 2, 4, 9})
+    return TreeGame(f9, ValueFunction.explicit({
+        s: len(s) ** 2 - (5 if s == dent else 0) for s in f9.enumerate_trimmed() if s
+    }))
+
+
+def _convexity_cases():
+    f9 = build_tree(F9_EDGES, 1)
+    rng = random.Random(7)
+    shuffled = build_tree(*shuffle_ids(rng, _uniform_tree(rng, 7), 1))
+    yield "size_f9", TreeGame(
+        f9, ValueFunction.size_based([0, 1, 3, 4, 4, 5, 9, 9, 10, 10])
+    ), (3, [1], [1, 2])
+    yield "explicit_shuffled", _explicit_game(rng, shuffled), (5, [], [13])
+    yield "explicit_10", _explicit_game(
+        rng, build_tree(_uniform_tree(rng, 10), 1)
+    ), (3, [1], [1, 2])
+    yield "linear_f9", TreeGame(f9, ValueFunction.linear(
+        {i: -3 if i in (4, 6) else 2 for i in f9.node_ids}
+    )), (4, [1], [1, 2])
+    yield "scaled_negative", scale_game(
+        basic_game(chain(5)), Fraction(-2, 3)
+    ), (2, [], [1])
+    yield "dented_f9", _dented_f9(), (5, [1, 2, 4, 9], [1, 2, 3, 4, 9])
+
+
+@pytest.mark.parametrize(
+    "game,expected",
+    [case[1:] for case in _convexity_cases()],
+    ids=[case[0] for case in _convexity_cases()],
+)
+def test_convexity_witness_is_unchanged(game, expected):
+    result = is_convex(game)
+    assert not result.convex
+    assert (result.agent, sorted(result.smaller), sorted(result.larger)) == expected
+
+
+def _core_cases():
+    f9 = build_tree(F9_EDGES, 1)
+    leaves = {i: Fraction(9, 4) if i in (5, 6, 7, 8) else 0 for i in f9.node_ids}
+    yield "leaves_f9", basic_game(f9), Allocation(leaves), ([1], 1)
+    rng = random.Random(11)
+    expected = [
+        ([12, 13, 19, 24, 39, 58, 79], Fraction(53281, 5040)),
+        ([2], Fraction(238751, 176400)),
+        ([5, 14, 31], Fraction(1877, 1260)),
+    ]
+    for k, witness in enumerate(expected):
+        tree = build_tree(*shuffle_ids(rng, _uniform_tree(rng, 8), 1))
+        game = _explicit_game(rng, tree)
+        yield f"explicit_shapley{k}", game, shapley_bruteforce(game), witness
+    star_pay = {1: 0, 2: Fraction(3, 2), 3: Fraction(3, 2), 4: 1, 5: 1, 6: 1}
+    yield "star_root_unpaid", basic_game(star(6)), Allocation(star_pay), ([1], 1)
+    dented = _dented_f9()
+    moved = dict(shapley_bruteforce(dented).rewards)
+    moved[9] -= 4
+    moved[5] += 4
+    yield "dented_f9_moved", dented, Allocation(moved), ([9], Fraction(44, 105))
+
+
+@pytest.mark.parametrize(
+    "game,allocation,expected",
+    [case[1:] for case in _core_cases()],
+    ids=[case[0] for case in _core_cases()],
+)
+def test_core_witness_is_unchanged(game, allocation, expected):
+    result = is_in_core(game, allocation)
+    assert not result.in_core
+    assert (sorted(result.violator), result.deficit) == expected

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshare.cli import main
+
+from conftest import random_tree_edges, shuffle_ids
 
 EXAMPLE_DOC = json.dumps(
     {
@@ -232,6 +239,24 @@ def test_count_perfect_binary_adds_closed_form(tmp_path, capsys):
     assert depth1[3] == depth1[5] == "20"
 
 
+def test_count_columns_are_right_aligned_to_their_widest_cell(tmp_path, capsys):
+    # A star of 30 leaves with a 40-node chain below the root: cfg and the
+    # counts are wider than their headers, and counts down the chain shrink
+    # by a factor of 41, so the widest cell of a column is its largest value.
+    edges = [{"child": k, "parent": 1} for k in range(2, 32)]
+    edges += [{"child": k, "parent": 1 if k == 32 else k - 1} for k in range(32, 72)]
+    path = tmp_path / "broom.json"
+    path.write_text(json.dumps({"root": 1, "edges": edges}))
+    code, out, _ = run(capsys, "count", str(path))
+    assert code == 0
+    grid = [line.split() for line in out.splitlines()]
+    widths = [max(len(cells[k]) for cells in grid) for k in range(5)]
+    assert len({len(cells[3]) for cells in grid[1:]}) > 1
+    assert out.splitlines() == [
+        "  ".join(cell.rjust(w) for cell, w in zip(cells, widths)) for cells in grid
+    ]
+
+
 def test_single_node_count(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text('{"root": 1, "edges": []}')
@@ -401,3 +426,234 @@ def test_deeply_nested_json_exits_1(kind, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {kind} file is nested too deeply")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "count"])
+def test_tree_file_that_is_not_utf8_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"root": 1, "edges": []}'.encode("utf-16"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("command", ["compute", "stream", "verify"])
+def test_config_that_is_not_utf8_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"output_format": "\xe9"}')
+    code, out, err = run(capsys, command, _golden_input(command), "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_event_log_that_stops_being_utf8_exits_1(tmp_path, capsys):
+    # The bad byte sits past the first buffered chunk, so it is met while
+    # stream is already replaying: earlier deltas stand, then the error.
+    lines = "".join(f"{k} {k + 1} 1\n" for k in range(1, 1001))
+    path = tmp_path / "joins.log"
+    path.write_bytes(lines.encode("ascii") + b"1001 \xff 1\n")
+    code, out, err = run(capsys, "stream", str(path))
+    assert code == 1
+    assert out.startswith("seq 1: node 2 joins 1;")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels", ['[1]', '"x"', '{"2": {"a": [1]}}', '{"2": 5}'])
+def test_malformed_labels_exit_1(labels, tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text('{"root": 1, "edges": [{"child": 2, "parent": 1}], '
+                    f'"labels": {labels}}}')
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "label" in err
+
+
+# -- arbitrary tree documents -----------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2, max_value=14)
+    | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+# Where a mutation puts an arbitrary JSON value into a valid document.
+MUTATIONS = ["root", "edges", "labels", "extra", "edge", "child", "parent",
+             "edge_extra", "label"]
+
+
+@st.composite
+def tree_documents(draw) -> bytes:
+    """Bytes of a tree file: a valid document, one with a field replaced by
+    arbitrary JSON, arbitrary JSON, arbitrary text or arbitrary bytes."""
+    kind = draw(st.sampled_from(["valid", "mutated", "json", "text", "bytes"]))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "text":
+        return draw(st.text(max_size=40)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    edges = random_tree_edges(rng, draw(st.integers(min_value=1, max_value=10)),
+                              draw(st.sampled_from([None, 2])))
+    root = 1
+    if draw(st.booleans()):
+        edges, root = shuffle_ids(rng, edges, 1)
+    doc: dict = {"root": root,
+                 "edges": [{"child": c, "parent": p} for c, p in edges]}
+    if draw(st.booleans()):
+        doc["labels"] = {str(c): f"n{c}" for c, _ in edges[:3]}
+    if kind == "mutated":
+        where = draw(st.sampled_from(MUTATIONS))
+        value = draw(JSON_VALUES)
+        if where in ("root", "edges", "labels", "extra"):
+            doc[where] = value
+        elif where == "label":
+            doc["labels"] = {str(root): value}
+        elif doc["edges"]:
+            edge = doc["edges"][draw(st.integers(0, len(doc["edges"]) - 1))]
+            if where == "edge":
+                doc["edges"][doc["edges"].index(edge)] = value
+            else:
+                edge["extra" if where == "edge_extra" else where] = value
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=tree_documents(),
+       command=st.sampled_from(["compute", "verify", "count"]),
+       strict=st.booleans())
+def test_any_tree_document_exits_0_or_1(document, command, strict,
+                                        tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(document)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--strict" if strict else "--no-strict"])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+
+
+# -- verify and count at scale ----------------------------------------------------
+
+SCALE_NODES = 20_000
+
+
+def _int_from_text(text: str) -> int:
+    """Parse a decimal of any length: ``int`` refuses more than 4300 digits
+    in one go, so longer text is read 600 digits at a time."""
+    if len(text) <= 4000:
+        return int(text)
+    value = 0
+    for start in range(0, len(text), 600):
+        chunk = text[start:start + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _recount(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Trimmed coalitions containing each id, by multiplication only: the
+    free choices hanging off the root path, times the node's own subtree
+    count. Needs ids 1..n with parents before children."""
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for child, parent in edges:
+        children[parent].append(child)
+    t = [1] * (n + 1)
+    for node in range(n, 0, -1):
+        for c in children[node]:
+            t[node] *= 1 + t[c]
+    above = [1] * (n + 1)  # product of the choices hanging off the path
+    for node in range(1, n + 1):
+        kids = children[node]
+        factors = [1 + t[c] for c in kids]
+        prefix = 1
+        suffix = [1] * (len(kids) + 1)
+        for k in range(len(kids) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] * factors[k]
+        for k, c in enumerate(kids):
+            above[c] = above[node] * prefix * suffix[k + 1]
+            prefix *= factors[k]
+    return [above[i] * t[i] for i in range(n + 1)]
+
+
+class _LineChecker(io.TextIOBase):
+    """A text stream that hands each complete line to ``check`` as it is
+    written, so a large output is checked without being kept."""
+
+    def __init__(self, check) -> None:
+        self.check = check
+        self.pending = ""
+        self.lines = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        *complete, self.pending = (self.pending + text).split("\n")
+        for line in complete:
+            self.check(self.lines, line)
+            self.lines += 1
+        return len(text)
+
+
+@pytest.fixture(scope="module")
+def scale_tree(tmp_path_factory):
+    edges = random_tree_edges(random.Random(2024), SCALE_NODES, 50)
+    path = tmp_path_factory.mktemp("scale") / "tree.json"
+    path.write_text(json.dumps(
+        {"root": 1, "edges": [{"child": c, "parent": p} for c, p in edges]}
+    ))
+    return str(path), edges
+
+
+def test_verify_at_scale_reports_the_exact_work(scale_tree, capsys):
+    path, edges = scale_tree
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    line = next(x for x in out.splitlines() if "trimmed-coalition sum" in x)
+    status, _, detail = line.partition("(")
+    assert status.split()[0] == "SKIPPED"
+    total, _, rest = detail.partition(" ")
+    assert rest == "trimmed coalitions exceed budget 200000)"
+    assert _int_from_text(total) == sum(_recount(SCALE_NODES, edges)[1:])
+
+
+def test_count_at_scale_matches_a_recount(scale_tree):
+    path, edges = scale_tree
+    counts = _recount(SCALE_NODES, edges)
+    parent = dict(edges)
+    depth = [0] * (SCALE_NODES + 1)
+    height = [0] * (SCALE_NODES + 1)
+    for node in range(2, SCALE_NODES + 1):
+        depth[node] = depth[parent[node]] + 1
+    for node in range(SCALE_NODES, 1, -1):
+        height[parent[node]] = max(height[parent[node]], height[node] + 1)
+    cfg = 2 ** (SCALE_NODES - 1)
+    seen = []
+
+    def check(index: int, line: str) -> None:
+        cells = line.split()
+        if index == 0:
+            assert cells == ["node", "depth", "cfg", "tree_game", "basic"]
+            return
+        node = int(cells[0])
+        assert [int(cells[1]), int(cells[4])] == [depth[node], height[node] + 1]
+        assert _int_from_text(cells[3]) == counts[node]
+        if index == 1:  # every row prints the same cfg
+            assert _int_from_text(cells[2]) == cfg
+            seen.append(cells[2])
+        assert cells[2] == seen[0]
+        seen.append(node)
+
+    checker = _LineChecker(check)
+    with contextlib.redirect_stdout(checker):
+        assert main(["count", path]) == 0
+    assert checker.pending == ""
+    assert seen[1:] == list(range(1, SCALE_NODES + 1))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshare import (
     MissingCoalitionValueError,
@@ -15,11 +18,12 @@ from treeshare import (
     build_tree,
     chain,
     coalition_value,
+    coalition_values_by_mask,
     marginal_contribution,
     scale_game,
 )
 
-from conftest import all_subsets, random_tree_edges
+from conftest import all_subsets, random_tree_edges, seeded_trees
 
 
 def random_explicit_game(rng: random.Random, tree) -> TreeGame:
@@ -31,6 +35,42 @@ def random_explicit_game(rng: random.Random, tree) -> TreeGame:
         if s
     }
     return TreeGame(tree, ValueFunction.explicit(values))
+
+
+GAME_KINDS = ("size_based", "linear", "explicit", "scaled")
+
+
+def random_game(rng: random.Random, tree, kind: str) -> TreeGame:
+    """A game of one of ``GAME_KINDS`` with small random rational values;
+    ``scaled`` scales a basic, size-based, linear or explicit game by a
+    random rational, possibly negative or zero."""
+    if kind == "size_based":
+        table = [0] + [
+            Fraction(rng.randint(-10, 30), rng.randint(1, 6)) for _ in range(tree.n)
+        ]
+        return TreeGame(tree, ValueFunction.size_based(table))
+    if kind == "linear":
+        return TreeGame(tree, ValueFunction.linear(
+            {i: Fraction(rng.randint(-5, 9), rng.randint(1, 4)) for i in tree.node_ids}
+        ))
+    if kind == "explicit":
+        return random_explicit_game(rng, tree)
+    base = rng.choice(["basic", "size_based", "linear", "explicit"])
+    game = basic_game(tree) if base == "basic" else random_game(rng, tree, base)
+    return scale_game(game, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+
+def count_value_calls(monkeypatch) -> Counter:
+    """Count, per coalition, the calls to ``ValueFunction.of`` from now on."""
+    calls: Counter = Counter()
+    original = ValueFunction.of
+
+    def counting(self, members):
+        calls[frozenset(members)] += 1
+        return original(self, members)
+
+    monkeypatch.setattr(ValueFunction, "of", counting)
+    return calls
 
 
 # -- value function variants -------------------------------------------------
@@ -170,6 +210,35 @@ def test_value_equals_value_of_trim_everywhere(f9):
         assert coalition_value(game, members) == coalition_value(
             game, f9.trim(members)
         )
+
+
+# -- values by mask -------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_trees(max_nodes=8), st.sampled_from(GAME_KINDS),
+       st.integers(min_value=0, max_value=10**6))
+def test_values_by_mask_are_the_values_of_trimmed_parts(tree, kind, seed):
+    game = random_game(random.Random(seed), tree, kind)
+    numerators, denominator = coalition_values_by_mask(game)
+    assert len(numerators) == 2 ** tree.n
+    # Bit r selects the node of canonical rank r: ascending ids when every
+    # edge points id-upward, otherwise (depth, id).
+    monotone = all(tree.parent(i) < i for i in tree.node_ids if i != tree.root)
+    order = sorted(tree.node_ids, key=(lambda i: i) if monotone
+                   else (lambda i: (tree.depth(i), i)))
+    for mask, numerator in enumerate(numerators):
+        members = {i for r, i in enumerate(order) if mask >> r & 1}
+        assert Fraction(numerator, denominator) == coalition_value(game, members)
+
+
+def test_values_by_mask_evaluate_each_trimmed_coalition_once(f9, monkeypatch):
+    calls = count_value_calls(monkeypatch)
+    game = random_explicit_game(random.Random(5), f9)
+    calls.clear()
+    numerators, denominator = coalition_values_by_mask(game)
+    assert set(calls) == set(f9.enumerate_trimmed())
+    assert set(calls.values()) == {1}
+    assert denominator > 0 and len(numerators) == 2 ** f9.n
 
 
 # -- scaling -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from treeshare import (
     replay_events,
     shapley_basic,
 )
-from treeshare.io import config_from_mapping, render_allocation
+from treeshare.io import config_from_mapping, read_text, render_allocation
 
 from conftest import EXAMPLE_EDGES, random_tree_edges, shuffle_ids
 
@@ -90,6 +90,34 @@ def test_labels_parsed_and_validated():
     bad = '{"root": 1, "edges": [], "labels": {"9": "x"}}'
     with pytest.raises(InputFormatError, match="unknown node"):
         parse_tree_file(bad)
+
+
+@pytest.mark.parametrize("labels", ["[1]", '"x"', "3", "true", "[]"])
+def test_labels_that_are_not_an_object_are_rejected(labels):
+    doc = f'{{"root": 1, "edges": [], "labels": {labels}}}'
+    with pytest.raises(InputFormatError, match="'labels' must be an object"):
+        parse_tree_file(doc)
+
+
+@pytest.mark.parametrize("name", ['{"a": [1]}', "[1]", "7", "null", "false"])
+def test_label_values_that_are_not_strings_are_rejected(name):
+    doc = ('{"root": 1, "edges": [{"child": 2, "parent": 1}], '
+           f'"labels": {{"2": {name}}}}}')
+    with pytest.raises(InputFormatError, match="label for node 2 must be a JSON string"):
+        parse_tree_file(doc)
+
+
+def test_null_or_empty_labels_mean_no_labels():
+    for labels in ("null", "{}"):
+        doc = f'{{"root": 1, "edges": [], "labels": {labels}}}'
+        assert parse_tree_file(doc).labels == {}
+
+
+def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"root": 1, "labels": {"1": "\xe9"}}')
+    with pytest.raises(InputFormatError, match=f"^cannot read {path}: 'utf-8' codec"):
+        read_text(str(path))
 
 
 def test_round_trip_preserves_tree():

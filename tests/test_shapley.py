@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshare import (
     IncrementalState,
@@ -29,10 +32,11 @@ from treeshare import (
 from conftest import (
     all_tree_edge_lists,
     random_tree_edges,
+    seeded_trees,
     shapley_by_permutations,
     shuffle_ids,
 )
-from test_games import random_explicit_game
+from test_games import GAME_KINDS, count_value_calls, random_explicit_game, random_game
 
 
 # -- brute force ---------------------------------------------------------------
@@ -202,6 +206,39 @@ def test_general_size_based_match_bruteforce():
     table = [0] + [Fraction(rng.randint(0, 30), 2) for _ in range(tree.n)]
     game = TreeGame(tree, ValueFunction.size_based(table))
     assert shapley_general(game).rewards == shapley_bruteforce(game).rewards
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_trees(max_nodes=9), st.sampled_from(GAME_KINDS),
+       st.integers(min_value=0, max_value=10**6))
+def test_general_equals_bruteforce_on_random_games(tree, kind, seed):
+    game = random_game(random.Random(seed), tree, kind)
+    general = shapley_general(game)
+    brute = shapley_bruteforce(game)
+    assert general.rewards == brute.rewards
+    for allocation in (general, brute):
+        # the lcm of the rewards' denominators, as documented
+        assert allocation.denominator == lcm(
+            *(v.denominator for v in allocation.rewards.values())
+        )
+
+
+def test_general_evaluates_each_trimmed_coalition_once(f9, monkeypatch):
+    calls = count_value_calls(monkeypatch)
+    game = random_game(random.Random(9), f9, "size_based")
+    allocation = shapley_general(game)
+    assert set(calls) == set(f9.enumerate_trimmed())
+    assert set(calls.values()) == {1}
+    assert allocation.rewards == shapley_bruteforce(game).rewards
+
+
+def test_general_agrees_with_closed_form_past_brute_force_reach():
+    rng = random.Random(67)
+    for edges in (random_tree_edges(rng, 18), random_tree_edges(rng, 16, 3)):
+        tree = build_tree(edges, 1)
+        assert shapley_general(basic_game(tree)) == shapley_basic(tree)
+        scaled = scale_game(basic_game(tree), Fraction(-7, 3))
+        assert shapley_general(scaled) == shapley_basic(tree).scaled(Fraction(-7, 3))
 
 
 # -- dispatcher and linearity ----------------------------------------------------

@@ -27,6 +27,10 @@ from .mechanisms import compare
 from .tree import TreeError
 
 
+# Verbose ``stream`` writes its delta lines in chunks of at most this many.
+DELTA_CHUNK_LINES = 1024
+
+
 class VerificationFailure(Exception):
     """Raised by ``verify`` when any check fails; maps to exit code 2."""
 
@@ -95,38 +99,53 @@ def compute(treefile, strict, config_path, **flags) -> None:
 @click.option("--root", type=int, default=1, show_default=True,
               help="Id of the node that joined independently.")
 @click.option("--quiet", is_flag=True, default=False,
-              help="Suppress per-event delta lines.")
+              help="Print only the final allocation; builds no per-event "
+                   "deltas.")
 @_with(_COMMON)
 def stream(eventlog, root, quiet, config_path, **flags) -> None:
     """Replay a join-event log, reporting per-event reward deltas and the
     final allocation (the equal-shares mechanism, computed incrementally)."""
     config = _build_config(config_path, **flags)
     unit_value = config.unit
+    pending: list[str] = []
+    # A join's delta is 1/(depth+1) to each node on its root path, so the
+    # share shown depends on the delta's denominator alone.
+    shown_share: dict[int, str | int] = {}
+
+    def write_pending():
+        click.echo("".join(pending), nl=False)
+        pending.clear()
 
     def emit(event, delta):
-        if quiet:
-            return
-        exact, display = exact_and_display(
-            unit_value.numerator * delta.numerators[event.node],
-            unit_value.denominator * delta.denominator,
-        )
-        shown = exact if config.exact else display
+        seq, node, parent = event
+        shown = shown_share.get(delta.denominator)
+        if shown is None:
+            exact, display = exact_and_display(
+                unit_value.numerator, unit_value.denominator * delta.denominator
+            )
+            shown = shown_share[delta.denominator] = exact if config.exact else display
         path = ",".join(map(str, sorted(delta.numerators)))
-        click.echo(f"seq {event.seq}: node {event.node} joins {event.parent}; "
-                   f"+{shown} to each of [{path}]")
+        pending.append(f"seq {seq}: node {node} joins {parent}; "
+                       f"+{shown} to each of [{path}]\n")
+        if len(pending) >= DELTA_CHUNK_LINES:
+            write_pending()
 
     try:
         handle = click.open_file(eventlog, encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
-    with handle:
-        try:
+    try:
+        with handle:
             state = replay_events(
                 parse_event_log(handle), root,
-                root_adjust=config.root_adjust, on_delta=emit,
+                root_adjust=config.root_adjust, on_delta=None if quiet else emit,
             )
-        except UnicodeDecodeError as exc:  # raised as the lines are read
-            raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised as the lines are read
+        raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
+    finally:
+        # Also when an event fails, so that the deltas before it come out.
+        if pending:
+            write_pending()
     final = state.allocation.scaled(unit_value)
     click.echo(render_allocation(final, config.output_format, config.exact), nl=False)
 

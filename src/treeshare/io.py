@@ -14,10 +14,12 @@ streamed without bound; blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .allocation import Allocation
 from .mechanisms import (
@@ -64,6 +66,11 @@ def _decode_json(text: str, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        raise InputFormatError(
+            f"{what} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         raise InputFormatError(f"{what} is nested too deeply to decode") from None
 
@@ -111,10 +118,15 @@ def parse_tree_document(data: dict, strict: bool = True) -> TreeDocument:
         raise InputFormatError("'labels' must be an object mapping node ids to names")
     labels: dict[int, str] = {}
     for key, name in labels_field.items():
+        # Only the canonical text of an id names it ("7", not "07", " 7 " or
+        # "7_0"), so no two keys can name one node.
         try:
             node = int(key)
+            canonical = str(node) == key
         except (TypeError, ValueError):
-            raise InputFormatError(f"label key {key!r} is not a node id") from None
+            canonical = False
+        if not canonical:
+            raise InputFormatError(f"label key {key!r} is not a node id")
         if node not in tree:
             raise InputFormatError(f"label for unknown node {node}")
         if not isinstance(name, str):
@@ -144,8 +156,7 @@ def render_tree_file(tree: RootedTree, labels: dict[int, str] | None = None) -> 
 
 # -- event logs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class JoinEvent:
+class JoinEvent(NamedTuple):
     """One streamed referral: at sequence ``seq``, ``node`` joins under
     ``parent``."""
 
@@ -157,9 +168,11 @@ class JoinEvent:
 def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
     """Stream ``seq node parent`` records, validating as they arrive.
 
-    Sequence numbers must be strictly increasing; errors carry the line
-    number. Parsing is incremental, so a consumer can apply events while the
-    log is still being read.
+    Each field is an optional ``-`` followed by ASCII digits: ``int`` alone
+    would also read ``+1``, ``1_0`` and non-ASCII digits. Sequence numbers
+    must be strictly increasing; errors carry the line number. Parsing is
+    incremental, so a consumer can apply events while the log is still being
+    read.
     """
     last_seq: int | None = None
     for lineno, raw in enumerate(lines, start=1):
@@ -172,7 +185,9 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
                 f"line {lineno}: expected 'seq node parent', got {line!r}"
             )
         try:
-            seq, node, parent = (int(p) for p in parts)
+            if not line.isascii() or "_" in line or "+" in line:
+                raise ValueError
+            seq, node, parent = map(int, parts)
         except ValueError:
             raise InputFormatError(
                 f"line {lineno}: fields must be integers, got {line!r}"
@@ -182,7 +197,7 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
                 f"line {lineno}: sequence {seq} does not increase past {last_seq}"
             )
         last_seq = seq
-        yield JoinEvent(seq=seq, node=node, parent=parent)
+        yield JoinEvent(seq, node, parent)
 
 
 def replay_events(
@@ -193,17 +208,21 @@ def replay_events(
 ) -> IncrementalState:
     """Apply a join stream to a fresh tree rooted at ``root``.
 
-    Errors are re-raised with the offending sequence number; deltas already
-    handed to ``on_delta`` stand.
+    Each event goes through ``state.join``, whose reward delta is handed to
+    ``on_delta``; without ``on_delta`` it goes through ``state.attach``, which
+    builds no delta. Errors are re-raised with the offending sequence number;
+    deltas already handed to ``on_delta`` stand.
     """
     state = IncrementalState(root, root_adjust=root_adjust)
+    step = state.attach if on_delta is None else state.join
     for event in events:
+        seq, node, parent = event
         try:
-            delta = state.join(event.node, event.parent)
+            result = step(node, parent)
         except ValueError as exc:
-            raise InputFormatError(f"event {event.seq}: {exc}") from None
+            raise InputFormatError(f"event {seq}: {exc}") from None
         if on_delta is not None:
-            on_delta(event, delta)
+            on_delta(event, result)
     return state
 
 

@@ -197,7 +197,8 @@ class IncrementalState:
     to the new member, the new member included; that is exactly the change in
     the basic-game Shapley allocation, so ``allocation`` always matches the
     batch closed form on the current tree. Work per join is proportional to
-    the new member's depth.
+    the new member's depth. ``attach`` grows the tree without building that
+    delta, in constant time, for callers that need only the final snapshot.
 
     Single-writer: callers serialise joins.
     """
@@ -225,12 +226,13 @@ class IncrementalState:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node!r}") from None
 
-    def join(self, node: int, parent: int) -> Allocation:
-        """Attach a new member under ``parent`` and return the reward delta.
+    def attach(self, node: int, parent: int) -> int:
+        """Attach a new member under ``parent`` and return its depth.
 
-        The delta pays ``1/(depth(node)+1)`` to every node on the root path,
-        the new member included: numerators of 1 over ``depth(node)+1``. All
-        other rewards are untouched.
+        Rejects an unknown parent, a node that already joined and a node id
+        that is not a positive integer; a rejected join changes nothing. The
+        allocation is not touched here: ``allocation`` derives it from the
+        tree, so a replay that needs no deltas only attaches.
         """
         parents = self._parents
         depths = self._depths
@@ -246,6 +248,17 @@ class IncrementalState:
         depths[node] = depth
         if depth > self._height:
             self._height = depth
+        return depth
+
+    def join(self, node: int, parent: int) -> Allocation:
+        """Attach a new member under ``parent`` and return the reward delta.
+
+        The delta pays ``1/(depth(node)+1)`` to every node on the root path,
+        the new member included: numerators of 1 over ``depth(node)+1``. All
+        other rewards are untouched.
+        """
+        depth = self.attach(node, parent)
+        parents = self._parents
         delta = {node: 1}
         cur: int | None = parent
         while cur is not None:

@@ -6,13 +6,15 @@ import contextlib
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshare.cli import main
+from treeshare import IncrementalState, round_half_away_from_zero
+from treeshare.cli import DELTA_CHUNK_LINES, main
 
 from conftest import random_tree_edges, shuffle_ids
 
@@ -190,6 +192,99 @@ def test_stream_quiet_suppresses_deltas(example_log, capsys):
     assert code == 0
     assert "seq" not in out
     assert "6,1000/3,333" in out
+
+
+def _log(edges) -> str:
+    return "".join(f"{seq} {c} {p}\n" for seq, (c, p) in enumerate(edges, start=1))
+
+
+@pytest.mark.parametrize("k", [1, 2, DELTA_CHUNK_LINES, DELTA_CHUNK_LINES + 1,
+                               2 * DELTA_CHUNK_LINES + 7])
+def test_stream_failing_at_event_k_prints_k_minus_1_deltas(k, tmp_path, capsys):
+    edges = random_tree_edges(random.Random(k), k)  # k - 1 valid joins
+    path = tmp_path / "joins.log"
+    path.write_text(_log(edges) + f"{k} {k + 1} {k + 5}\n")
+    code, out, err = run(capsys, "stream", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == k - 1
+    assert [line.split(":")[0] for line in lines] == [f"seq {s}" for s in range(1, k)]
+    assert err == f"error: event {k}: unknown parent {k + 5}\n"
+
+
+def _reference_deltas(edges, unit: Fraction, exact: bool) -> list[str]:
+    """Delta lines from IncrementalState.join, in the documented format."""
+    state = IncrementalState(1)
+    lines = []
+    for seq, (node, parent) in enumerate(edges, start=1):
+        delta = state.join(node, parent)
+        share = delta.rewards[node] * unit
+        shown = share if exact else round_half_away_from_zero(share)
+        path = ",".join(str(m) for m in sorted(delta.rewards))
+        lines.append(f"seq {seq}: node {node} joins {parent}; "
+                     f"+{shown} to each of [{path}]")
+    return lines
+
+
+@pytest.mark.parametrize("unit,exact",
+                         [("1000", False), ("7/3", True), ("-2.5", False)])
+def test_stream_deltas_across_chunks_match_a_reference(unit, exact, tmp_path, capsys):
+    edges = random_tree_edges(random.Random(5000), 5000, 50)
+    path = tmp_path / "joins.log"
+    path.write_text(_log(edges))
+    flags = ["--unit", unit, "--format", "csv"] + (["--exact"] if exact else [])
+    code, out, _ = run(capsys, "stream", str(path), *flags)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:len(edges)] == _reference_deltas(edges, Fraction(unit), exact)
+    assert lines[len(edges)] == "node,exact,display"
+    code, quiet, _ = run(capsys, "stream", str(path), "--quiet", *flags)
+    assert code == 0
+    assert "\n".join(lines[len(edges):]) + "\n" == quiet
+
+
+def test_stream_writes_deltas_in_bounded_chunks(tmp_path):
+    joins = 3 * DELTA_CHUNK_LINES + 5
+    path = tmp_path / "joins.log"
+    path.write_text(_log(random_tree_edges(random.Random(3), joins + 1)))
+    writes: list[str] = []
+
+    class Recorder(io.StringIO):
+        def write(self, text: str) -> int:
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Recorder()):
+        assert main(["stream", str(path)]) == 0
+    # click probes the stream with a bytes write, which is not output.
+    chunks = [text.count("\n") for text in writes
+              if isinstance(text, str) and text.startswith("seq ")]
+    assert chunks == [DELTA_CHUNK_LINES] * 3 + [5]
+
+
+def test_stream_quiet_builds_no_deltas(monkeypatch, capsys):
+    log = str(GOLDEN / "r300.log")
+    expected = run(capsys, "stream", log, "--quiet", "--exact")
+
+    def refuse(self, node, parent):
+        raise AssertionError("join called")
+
+    monkeypatch.setattr(IncrementalState, "join", refuse)
+    assert run(capsys, "stream", log, "--quiet", "--exact") == expected
+    assert expected[0] == 0
+    with pytest.raises(AssertionError, match="join called"):
+        main(["stream", log])
+
+
+@pytest.mark.parametrize("line", ["\uff11 2 1", "1 1_0 1", "1 +2 1", "1 \u0662 1"])
+def test_stream_rejects_ids_int_would_misread(line, tmp_path, capsys):
+    path = tmp_path / "joins.log"
+    path.write_text(f"# first line\n{line}\n", encoding="utf-8")
+    for quiet in ([], ["--quiet"]):
+        code, out, err = run(capsys, "stream", str(path), *quiet)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line 2: fields must be integers, got {line!r}\n"
 
 
 # -- verify ------------------------------------------------------------------------
@@ -472,6 +567,34 @@ def test_malformed_labels_exit_1(labels, tmp_path, capsys):
     assert err.startswith("error: ") and "label" in err
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1 ", "01", "\uff11"])
+def test_label_key_that_is_not_canonical_exits_1(key, tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"root": 1, "edges": [{"child": 10, "parent": 1}],
+                                "labels": {key: "x"}}))
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: label key {key!r} is not a node id\n"
+
+
+@pytest.mark.parametrize("kind", ["tree", "config"])
+def test_too_long_json_integer_exits_1_naming_the_file(kind, tmp_path, capsys):
+    digits = "1" + "0" * 5000
+    path = tmp_path / f"{kind}.json"
+    if kind == "tree":
+        path.write_text(f'{{"root": {digits}, "edges": []}}')
+        args = ["compute", str(path)]
+    else:
+        path.write_text(f'{{"limit_core": {digits}}}')
+        args = ["verify", _golden_input("verify"), "--config", str(path)]
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {kind} file holds an integer of more than ")
+    assert "set_int_max_str_digits" not in err
+
+
 # -- arbitrary tree documents -----------------------------------------------------
 
 JSON_VALUES = st.recursive(
@@ -539,6 +662,132 @@ def test_any_tree_document_exits_0_or_1(document, command, strict,
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+# -- arbitrary event logs and configs ----------------------------------------------
+
+# Field values a mutation may put into a valid log line.
+LOG_FIELDS = st.sampled_from(
+    ["0", "-1", "-0", "007", "+3", "1_0", "\uff11", "\u0662", "1.0", "1e3", "x", "",
+     "--1", "99999", "1" + "0" * 5000]
+) | st.integers(-3, 40).map(str) | st.text(max_size=4)
+
+
+@st.composite
+def event_logs(draw) -> tuple[str, bytes, bool]:
+    """``(kind, bytes, root)`` of an event log: a valid one (join order,
+    maybe shuffled ids, comments and blank lines), one with a field, line or
+    order mutated, arbitrary text or arbitrary bytes."""
+    kind = draw(st.sampled_from(["valid", "mutated", "text", "bytes"]))
+    if kind == "text":
+        return kind, draw(st.text(max_size=60)).encode(), 1
+    if kind == "bytes":
+        return kind, draw(st.binary(max_size=60)), 1
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    edges = random_tree_edges(rng, draw(st.integers(min_value=1, max_value=12)),
+                              draw(st.sampled_from([None, 3])))
+    root = 1
+    if draw(st.booleans()):
+        edges, root = shuffle_ids(rng, edges, 1)
+    seqs = sorted(rng.sample(range(-5, 100), len(edges)))
+    lines = [f"{s} {c} {p}" for s, (c, p) in zip(seqs, edges)]
+    if draw(st.booleans()):
+        lines.insert(rng.randint(0, len(lines)), "# a comment")
+        lines.insert(rng.randint(0, len(lines)), "   ")
+    if kind == "mutated" and lines:
+        k = rng.randrange(len(lines))
+        how = draw(st.sampled_from(["field", "drop", "extra", "swap", "repeat"]))
+        if how == "field":
+            fields = lines[k].split() or [""]
+            fields[rng.randrange(len(fields))] = draw(LOG_FIELDS)
+            lines[k] = " ".join(fields)
+        elif how == "drop":
+            lines[k] = " ".join(lines[k].split()[:2])
+        elif how == "extra":
+            lines[k] += " 1"
+        elif how == "swap":
+            j = rng.randrange(len(lines))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            lines.append(lines[k])
+    return kind, "".join(line + "\n" for line in lines).encode(), root
+
+
+def _main_output(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=event_logs(),
+       flags=st.lists(st.sampled_from(["--exact", "--no-root-adjust", "--format=csv",
+                                       "--format=records", "--unit=7/3"]),
+                      max_size=3, unique=True))
+def test_any_event_log_exits_0_or_1(log, flags, tmp_path_factory):
+    kind, data, root = log
+    path = tmp_path_factory.getbasetemp() / "fuzzed.log"
+    path.write_bytes(data)
+    args = ["stream", str(path), "--root", str(root), *flags]
+    runs = {}
+    for quiet in (False, True):
+        argv = args + (["--quiet"] if quiet else [])
+        code, out, err = runs[quiet] = _main_output(argv)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ")
+    (loud_code, loud, _), (quiet_code, quiet, _) = runs[False], runs[True]
+    assert loud_code == quiet_code
+    if kind == "valid":
+        joins = sum(1 for line in data.decode().splitlines()
+                    if line.strip() and not line.startswith("#"))
+        assert loud_code == 0
+        assert loud.endswith(quiet)
+        deltas = loud[:len(loud) - len(quiet)].splitlines()
+        assert len(deltas) == joins
+        assert all(line.startswith("seq ") for line in deltas)
+
+
+CONFIG_KEYS = ["mechanisms", "unit", "root_adjust", "ratio", "normalize",
+               "referrer_share", "limit_bruteforce", "limit_core", "limit_convex",
+               "output_format", "exact"]
+CONFIG_VALUES = st.sampled_from(
+    [["shapley"], ["geometric", "refer-a-friend"], "shapley", "1000", "7/3", "-2.5",
+     "1/2", "0", 0.25, 1e308, True, False, 3, "csv", "records", "table"]
+) | JSON_VALUES
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """A config of known keys with plausible or arbitrary values, arbitrary
+    JSON, arbitrary text or arbitrary bytes."""
+    kind = draw(st.sampled_from(["entries", "json", "text", "bytes"]))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "text":
+        return draw(st.text(max_size=40)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    entries = draw(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES,
+                                   max_size=4))
+    if draw(st.booleans()):
+        entries[draw(st.text(max_size=6))] = draw(CONFIG_VALUES)
+    return json.dumps(entries).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=config_files())
+def test_any_config_exits_0_or_1(config, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_bytes(config)
+    code, _, err = _main_output(["compute", _golden_input("compute"),
+                                 "--config", str(path)])
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ")
 
 
 # -- verify and count at scale ----------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from treeshare import (
     replay_events,
     shapley_basic,
 )
-from treeshare.io import config_from_mapping, read_text, render_allocation
+from treeshare.io import config_from_mapping, load_config, read_text, render_allocation
 
 from conftest import EXAMPLE_EDGES, random_tree_edges, shuffle_ids
 
@@ -107,6 +108,43 @@ def test_label_values_that_are_not_strings_are_rejected(name):
         parse_tree_file(doc)
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1 ", "01", "+1", "\uff11", "1.0", "", "None"])
+def test_label_keys_must_be_the_canonical_text_of_an_id(key):
+    # int() would read each of these (but the last three) as node 1 or 10.
+    doc = json.dumps({"root": 1, "edges": [{"child": 10, "parent": 1}],
+                      "labels": {key: "x"}})
+    message = f"label key {key!r} is not a node id"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_tree_file(doc)
+
+
+def test_two_keys_cannot_name_one_node():
+    doc = '{"root": 1, "edges": [], "labels": {"1": "one", "01": "uno"}}'
+    with pytest.raises(InputFormatError, match="label key '01'"):
+        parse_tree_file(doc)
+
+
+def test_negative_label_key_is_an_unknown_node():
+    doc = '{"root": 1, "edges": [], "labels": {"-1": "x"}}'
+    with pytest.raises(InputFormatError, match="label for unknown node -1"):
+        parse_tree_file(doc)
+
+
+def test_too_long_integer_in_a_tree_file_names_the_file():
+    doc = '{"root": 1' + "0" * 5000 + ', "edges": []}'
+    with pytest.raises(InputFormatError,
+                       match=r"^tree file holds an integer of more than \d+ digits$"):
+        parse_tree_file(doc)
+
+
+def test_too_long_integer_in_a_config_file_names_the_file(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"limit_core": 1' + "0" * 5000 + "}")
+    with pytest.raises(InputFormatError,
+                       match=r"^config file holds an integer of more than \d+ digits$"):
+        load_config(str(path))
+
+
 def test_null_or_empty_labels_mean_no_labels():
     for labels in ("null", "{}"):
         doc = f'{{"root": 1, "edges": [], "labels": {labels}}}'
@@ -160,6 +198,35 @@ def test_parse_event_log_rejects_bad_lines():
         list(parse_event_log(["2 2 1", "1 3 1"]))
 
 
+@pytest.mark.parametrize("line", [
+    "\uff11 2 1",           # fullwidth digit one
+    "1 1_0 1",              # underscore between digits
+    "1 \u0662 1",           # Arabic-Indic digit two
+    "1 +2 1",               # explicit plus sign
+    "1\u00a02 1",           # no-break space between fields
+    "1 2 1e0",
+])
+def test_parse_event_log_takes_only_ascii_decimal_fields(line):
+    message = f"line 2: fields must be integers, got {line!r}"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        list(parse_event_log(["1 5 1", line]))
+
+
+def test_parse_event_log_reads_minus_signs_and_leading_zeros():
+    events = list(parse_event_log(["-5 007 -1"]))
+    assert events == [JoinEvent(-5, 7, -1)]
+
+
+def test_join_event_is_an_immutable_named_triple():
+    event = JoinEvent(1, 3, 1)
+    assert event == JoinEvent(seq=1, node=3, parent=1) == (1, 3, 1)
+    assert (event.seq, event.node, event.parent) == (1, 3, 1)
+    assert JoinEvent._fields == ("seq", "node", "parent")
+    assert hash(event) == hash(JoinEvent(1, 3, 1))
+    with pytest.raises(AttributeError):
+        event.node = 4
+
+
 def test_parse_event_log_empty():
     assert list(parse_event_log([])) == []
 
@@ -179,6 +246,35 @@ def test_replay_events_reports_seq_on_error():
     with pytest.raises(InputFormatError, match="event 2"):
         replay_events(events, root=1, on_delta=lambda e, d: deltas.append(d))
     assert len(deltas) == 1  # the delta before the failure already went out
+
+
+REPLAY_ERRORS = [
+    ([(1, 3, 1), (2, 5, 99)], "event 2: unknown parent 99"),
+    ([(1, 3, 1), (2, 3, 1)], "event 2: node 3 already joined"),
+    ([(4, 0, 1)], "event 4: node ids must be positive integers, got 0"),
+    ([(1, 3, 1), (7, -2, 3)], "event 7: node ids must be positive integers, got -2"),
+]
+
+
+@pytest.mark.parametrize("triples,message", REPLAY_ERRORS)
+def test_replay_without_deltas_fails_like_the_join_route(triples, message):
+    events = [JoinEvent(*t) for t in triples]
+    for on_delta in (None, lambda e, d: None):
+        with pytest.raises(InputFormatError) as info:
+            replay_events(events, root=1, on_delta=on_delta)
+        assert str(info.value) == message
+
+
+def test_replay_without_deltas_matches_batch():
+    rng = random.Random(113)
+    edges = random_tree_edges(rng, 300)
+    events = [JoinEvent(seq, c, p) for seq, (c, p) in enumerate(edges, start=1)]
+    for adjust in (False, True):
+        quiet = replay_events(events, root=1, root_adjust=adjust)
+        loud = replay_events(events, root=1, root_adjust=adjust,
+                             on_delta=lambda e, d: None)
+        assert quiet.allocation == loud.allocation
+        assert quiet.to_tree() == loud.to_tree()
 
 
 def test_replay_empty_log_keeps_root_alone():

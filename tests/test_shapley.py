@@ -356,6 +356,32 @@ def test_join_validation():
         state.join(-4, 1)
 
 
+def test_attach_returns_the_depth_and_builds_no_delta():
+    state = IncrementalState(1)
+    assert state.attach(3, 1) == 1
+    assert state.attach(6, 3) == 2
+    assert state.join(7, 3).rewards == {
+        1: Fraction(1, 3), 3: Fraction(1, 3), 7: Fraction(1, 3)}
+    assert state.allocation.rewards == shapley_basic(state.to_tree()).rewards
+    assert state.depth(6) == 2
+
+
+@pytest.mark.parametrize("step", ["attach", "join"])
+def test_a_rejected_join_changes_nothing(step):
+    state = IncrementalState(1)
+    state.join(2, 1)
+    before = (state.n, state.allocation)
+    for node, parent, error, match in [
+        (5, 99, UnknownNodeError, "unknown parent 99"),
+        (2, 1, TreeError, "node 2 already joined"),
+        (-4, 2, TreeError, "positive integers, got -4"),
+        (2.5, 2, TreeError, "positive integers, got 2.5"),
+    ]:
+        with pytest.raises(error, match=match):
+            getattr(state, step)(node, parent)
+    assert (state.n, state.allocation) == before
+
+
 def test_incremental_equals_batch_on_random_sequences():
     rng = random.Random(67)
     for _ in range(10):

@@ -6,20 +6,8 @@ refer-a-friend and geometric baselines, with brute-force oracles and
 exhaustive stability checks for verification.
 """
 
-from .allocation import Allocation, as_fraction, round_half_away_from_zero
-from .analysis import (
-    ComplexityRow,
-    ConvexityResult,
-    CoreCheckResult,
-    VerificationReport,
-    binary_tree_count,
-    complexity_table,
-    count_trimmed_containing,
-    is_complete_binary_tree,
-    is_convex,
-    is_in_core,
-    run_verification,
-)
+from .allocation import Allocation
+from .analysis import count_trimmed_containing, is_convex, is_in_core
 from .games import (
     MissingCoalitionValueError,
     TreeGame,
@@ -27,19 +15,12 @@ from .games import (
     basic_game,
     coalition_value,
     coalition_values_by_mask,
-    marginal_contribution,
-    scale_game,
 )
 from .io import (
     InputFormatError,
     JoinEvent,
-    RunConfig,
-    TreeDocument,
     parse_event_log,
-    parse_rational,
     parse_tree_file,
-    render_report,
-    render_tree_file,
     replay_events,
 )
 from .mechanisms import (
@@ -47,40 +28,22 @@ from .mechanisms import (
     Geometric,
     MechanismSpec,
     ReferAFriend,
-    RewardReport,
     allocate,
-    allocate_geometric,
-    allocate_refer_a_friend,
-    allocate_shapley_mechanism,
     compare,
-    geometric_raw_shares,
 )
 from .shapley import (
     IncrementalState,
     SizeLimitError,
-    root_adjust,
     shapley_basic,
     shapley_bruteforce,
     shapley_general,
     shapley_value,
 )
-from .tree import (
-    Coalition,
-    RootedTree,
-    TreeError,
-    UnknownNodeError,
-    build_tree,
-    chain,
-    complete_binary_tree,
-    star,
-)
+from .tree import RootedTree, TreeError, UnknownNodeError, build_tree
 
+# The API that README documents; import anything else from its own module.
 __all__ = [
     "Allocation",
-    "Coalition",
-    "ComplexityRow",
-    "ConvexityResult",
-    "CoreCheckResult",
     "EqualShares",
     "Geometric",
     "IncrementalState",
@@ -89,49 +52,26 @@ __all__ = [
     "MechanismSpec",
     "MissingCoalitionValueError",
     "ReferAFriend",
-    "RewardReport",
     "RootedTree",
-    "RunConfig",
     "SizeLimitError",
-    "TreeDocument",
     "TreeError",
     "TreeGame",
     "UnknownNodeError",
     "ValueFunction",
-    "VerificationReport",
     "allocate",
-    "allocate_geometric",
-    "allocate_refer_a_friend",
-    "allocate_shapley_mechanism",
-    "as_fraction",
     "basic_game",
-    "binary_tree_count",
     "build_tree",
-    "chain",
     "coalition_value",
     "coalition_values_by_mask",
     "compare",
-    "complete_binary_tree",
-    "complexity_table",
     "count_trimmed_containing",
-    "geometric_raw_shares",
-    "is_complete_binary_tree",
     "is_convex",
     "is_in_core",
-    "marginal_contribution",
     "parse_event_log",
-    "parse_rational",
     "parse_tree_file",
-    "render_report",
-    "render_tree_file",
     "replay_events",
-    "root_adjust",
-    "round_half_away_from_zero",
-    "run_verification",
-    "scale_game",
     "shapley_basic",
     "shapley_bruteforce",
     "shapley_general",
     "shapley_value",
-    "star",
 ]

@@ -9,7 +9,7 @@ in plain integer arithmetic; ``Fraction`` values are built only on request.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -40,10 +40,20 @@ def exact_and_display(numerator: int, denominator: int) -> tuple[str, int]:
     """The reduced "p/q" (or plain integer) text of ``numerator/denominator``
     and its value rounded half-away-from-zero; ``denominator`` is positive."""
     g = gcd(numerator, denominator)
-    q = denominator // g
-    exact = str(numerator // g) if q == 1 else f"{numerator // g}/{q}"
+    p, q = numerator // g, denominator // g
+    try:
+        exact = str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # more digits than str() writes
+        exact = decimal_text(p) if q == 1 else f"{decimal_text(p)}/{decimal_text(q)}"
     magnitude = (2 * abs(numerator) + denominator) // (2 * denominator)
     return exact, magnitude if numerator >= 0 else -magnitude
+
+
+def exact_and_display_text(numerator: int, denominator: int) -> tuple[str, str]:
+    """``exact_and_display`` with the display as text too, for integers of
+    any length: slower than ``str``, which refuses long ones."""
+    exact, display = exact_and_display(numerator, denominator)
+    return exact, decimal_text(display)
 
 
 _CHUNK_DIGITS = 600  # below the smallest digit limit Python allows (640)
@@ -160,14 +170,17 @@ class Allocation:
         return sorted(self.rewards.items())
 
     def rows(
-        self, nodes: Iterable[int] | None = None
-    ) -> Iterator[tuple[int, str, int]]:
+        self,
+        nodes: Iterable[int] | None = None,
+        texts: Callable[[int, int], tuple] = exact_and_display,
+    ) -> Iterator[tuple]:
         """``(node, exact, display)`` per node, lazily: the reduced "p/q"
-        text and the half-away-from-zero rounding. ``nodes`` defaults to
-        every node in ascending order; a node without an entry reads 0."""
+        text and the half-away-from-zero rounding, as ``texts`` writes them
+        from the numerator and denominator. ``nodes`` defaults to every node
+        in ascending order; a node without an entry reads 0."""
         numerators, denominator = self.numerators, self.denominator
         for node in sorted(numerators) if nodes is None else nodes:
-            yield node, *exact_and_display(numerators.get(node, 0), denominator)
+            yield node, *texts(numerators.get(node, 0), denominator)
 
     def __add__(self, other: "Allocation") -> "Allocation":
         denominator = lcm(self.denominator, other.denominator)

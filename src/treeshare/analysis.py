@@ -7,6 +7,7 @@ has to look at, which is what makes the dedicated routes worthwhile.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -58,22 +59,17 @@ def is_in_core(
         low = mask & -mask
         paysum[mask] = paysum[mask ^ low] + payoff[low.bit_length() - 1]
 
-    best_key: tuple[int, ...] | None = None
-    best_mask = 0
-    for mask in range(1, 1 << n):
-        if paysum[mask] >= values[mask] * value_scale:
-            continue
-        key = tuple(sorted(ids[r] for r in range(n) if mask & (1 << r)))
-        if best_key is None or key < best_key:
-            best_key, best_mask = key, mask
-    if best_key is None:
+    def members(mask: int) -> list[int]:
+        return sorted(ids[r] for r in range(n) if mask >> r & 1)
+
+    short = [m for m in range(1, 1 << n) if paysum[m] < values[m] * value_scale]
+    if not short:
         return CoreCheckResult(in_core=True)
+    first = min(short, key=members)
     return CoreCheckResult(
         in_core=False,
-        violator=frozenset(best_key),
-        deficit=Fraction(
-            values[best_mask] * value_scale - paysum[best_mask], denominator
-        ),
+        violator=frozenset(members(first)),
+        deficit=Fraction(values[first] * value_scale - paysum[first], denominator),
     )
 
 
@@ -139,15 +135,12 @@ def trimmed_work(tree: RootedTree) -> int:
     per-node trimmed-coalition sum.
 
     Two bottom-up passes that keep no per-node count, so memory stays near
-    the size of the tree. Among the parent-closed sets of r's subtree that
-    contain r, ``t(r) = prod(1 + t(c))`` counts them and ``s(r)`` sums their
-    sizes: each is r plus, at every child c, nothing or one such set of
-    c's subtree, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
+    the size of the tree. ``t(r)`` counts the parent-closed sets of r's
+    subtree that contain r (see ``RootedTree._subtree_counts``) and ``s(r)``
+    sums their sizes, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
     """
     parents = tree._parents
-    t = [1] * tree.n
-    for r in range(tree.n - 1, 0, -1):
-        t[parents[r]] *= 1 + t[r]
+    t = tree._subtree_counts()
     s = t[:]
     for r in range(tree.n - 1, 0, -1):
         p = parents[r]
@@ -176,18 +169,11 @@ def binary_tree_count(h: int, d: int) -> int:
 
 def is_complete_binary_tree(tree: RootedTree) -> bool:
     """True for a perfect binary tree: every internal node has two children
-    and every leaf sits at the bottom level."""
+    and every leaf sits at the bottom level. A tree of height ``h`` with at
+    most two children per node has at most ``2**(h+1) - 1`` nodes, and only
+    the perfect one has that many."""
     h = tree.height
-    if tree.n != 2 ** (h + 1) - 1:
-        return False
-    for i in tree.node_ids:
-        kids = tree.children(i)
-        if kids:
-            if len(kids) != 2:
-                return False
-        elif tree.depth(i) != h:
-            return False
-    return True
+    return tree.n == 2 ** (h + 1) - 1 and all(len(c) <= 2 for c in tree._children)
 
 
 @dataclass(frozen=True)
@@ -248,88 +234,50 @@ def run_verification(
     limit_bruteforce: int = 10,
     limit_core: int = 16,
     limit_convex: int = 12,
-    allocation_override: Allocation | None = None,
 ) -> VerificationReport:
-    """Cross-check every computation route on the basic game of one tree.
-
-    ``allocation_override`` substitutes the allocation used for the core
-    check, which lets a corrupted allocation be injected under test.
-    """
+    """Cross-check every computation route on the basic game of one tree."""
     game = basic_game(tree)
-    checks: list[CheckOutcome] = []
+    n = tree.n
     closed_form = shapley_basic(tree)
-    allocation = allocation_override if allocation_override is not None else closed_form
+    checks: list[CheckOutcome] = []
 
-    if tree.n <= limit_bruteforce:
-        oracle = shapley_bruteforce(game, limit=limit_bruteforce)
-        status = PASS if oracle.rewards == closed_form.rewards else FAIL
-        checks.append(CheckOutcome("closed form vs brute force", status))
-    else:
-        checks.append(
-            CheckOutcome(
-                "closed form vs brute force",
-                SKIPPED,
-                f"n={tree.n} exceeds brute-force limit {limit_bruteforce}",
-            )
-        )
-
-    general_work = trimmed_work(tree)
-    if general_work <= GENERAL_CHECK_BUDGET:
-        general = shapley_general(game)
-        status = PASS if general.rewards == closed_form.rewards else FAIL
-        checks.append(CheckOutcome("closed form vs trimmed-coalition sum", status))
-    else:
-        checks.append(
-            CheckOutcome(
-                "closed form vs trimmed-coalition sum",
-                SKIPPED,
-                f"{decimal_text(general_work)} trimmed coalitions exceed budget "
-                f"{GENERAL_CHECK_BUDGET}",
-            )
-        )
-
-    status = PASS if closed_form.total == tree.n else FAIL
-    checks.append(
-        CheckOutcome("efficiency (rewards sum to n)", status, f"total={closed_form.total}")
-    )
-
-    if tree.n <= limit_core:
-        result = is_in_core(game, allocation, limit=limit_core)
-        if result.in_core:
-            checks.append(CheckOutcome("core membership", PASS))
+    def check(name: str, skip: str | None, failure: Callable[[], str | None]) -> None:
+        """Skip ``name`` for the reason ``skip``, if there is one; otherwise
+        ``failure()`` is the detail of a failure, or None for a pass."""
+        if skip is not None:
+            checks.append(CheckOutcome(name, SKIPPED, skip))
+        elif (detail := failure()) is None:
+            checks.append(CheckOutcome(name, PASS))
         else:
-            checks.append(
-                CheckOutcome(
-                    "core membership",
-                    FAIL,
-                    f"coalition {sorted(result.violator)} short by {result.deficit}",
-                )
-            )
-    else:
-        checks.append(
-            CheckOutcome(
-                "core membership", SKIPPED, f"n={tree.n} exceeds core limit {limit_core}"
-            )
-        )
+            checks.append(CheckOutcome(name, FAIL, detail))
 
-    if tree.n <= limit_convex:
+    def over(what: str, limit: int) -> str | None:
+        return f"n={n} exceeds {what} limit {limit}" if n > limit else None
+
+    def differs(allocation: Allocation) -> str | None:
+        return None if allocation == closed_form else ""
+
+    def core() -> str | None:
+        result = is_in_core(game, closed_form, limit=limit_core)
+        if not result.in_core:
+            return f"coalition {sorted(result.violator)} short by {result.deficit}"
+
+    def convexity() -> str | None:
         result = is_convex(game, limit=limit_convex)
-        if result.convex:
-            checks.append(CheckOutcome("convexity", PASS))
-        else:
-            checks.append(
-                CheckOutcome(
-                    "convexity",
-                    FAIL,
-                    f"agent {result.agent} loses by joining "
-                    f"{sorted(result.larger)} vs {sorted(result.smaller)}",
-                )
-            )
-    else:
-        checks.append(
-            CheckOutcome(
-                "convexity", SKIPPED, f"n={tree.n} exceeds convexity limit {limit_convex}"
-            )
-        )
+        if not result.convex:
+            return (f"agent {result.agent} loses by joining "
+                    f"{sorted(result.larger)} vs {sorted(result.smaller)}")
 
+    check("closed form vs brute force", over("brute-force", limit_bruteforce),
+          lambda: differs(shapley_bruteforce(game, limit=limit_bruteforce)))
+    work = trimmed_work(tree)
+    check("closed form vs trimmed-coalition sum",
+          f"{decimal_text(work)} trimmed coalitions exceed budget "
+          f"{GENERAL_CHECK_BUDGET}" if work > GENERAL_CHECK_BUDGET else None,
+          lambda: differs(shapley_general(game)))
+    checks.append(CheckOutcome("efficiency (rewards sum to n)",
+                               PASS if closed_form.total == n else FAIL,
+                               f"total={closed_form.total}"))
+    check("core membership", over("core", limit_core), core)
+    check("convexity", over("convexity", limit_convex), convexity)
     return VerificationReport(tuple(checks))

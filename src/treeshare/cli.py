@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import analysis
-from .allocation import decimal_text, exact_and_display
+from .allocation import decimal_text, exact_and_display_text
 from .io import (
     OUTPUT_FORMATS,
     InputFormatError,
@@ -24,7 +24,6 @@ from .io import (
     replay_events,
 )
 from .mechanisms import compare
-from .tree import TreeError
 
 
 # Verbose ``stream`` writes its delta lines in chunks of at most this many.
@@ -110,7 +109,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
     pending: list[str] = []
     # A join's delta is 1/(depth+1) to each node on its root path, so the
     # share shown depends on the delta's denominator alone.
-    shown_share: dict[int, str | int] = {}
+    shown_share: dict[int, str] = {}
 
     def write_pending():
         click.echo("".join(pending), nl=False)
@@ -120,7 +119,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
         seq, node, parent = event
         shown = shown_share.get(delta.denominator)
         if shown is None:
-            exact, display = exact_and_display(
+            exact, display = exact_and_display_text(
                 unit_value.numerator, unit_value.denominator * delta.denominator
             )
             shown = shown_share[delta.denominator] = exact if config.exact else display
@@ -153,11 +152,11 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
 @cli.command()
 @click.argument("treefile", type=click.Path())
 @click.option("--limit-bruteforce", type=int, default=None,
-              help="Largest n for the brute-force oracle (default 10).")
+              help="Largest n for the brute-force oracle (default 10, at most 20).")
 @click.option("--limit-core", type=int, default=None,
-              help="Largest n for the exhaustive core check (default 16).")
+              help="Largest n for the exhaustive core check (default 16, at most 20).")
 @click.option("--limit-convex", type=int, default=None,
-              help="Largest n for the convexity check (default 12).")
+              help="Largest n for the convexity check (default 12, at most 20).")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--strict/--no-strict", default=True)
 def verify(treefile, config_path, strict, **flags) -> None:
@@ -228,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except (InputFormatError, TreeError, ValueError) as exc:
+    except ValueError as exc:  # InputFormatError and TreeError among them
         click.echo(f"error: {exc}", err=True)
         return 1
     except VerificationFailure as exc:

@@ -9,7 +9,7 @@ never actually joined.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -85,18 +85,8 @@ class ValueFunction:
         table.pop(frozenset(), None)
         return cls(EXPLICIT, table=table)
 
-    @property
-    def is_basic(self) -> bool:
-        return self.variant == BASIC
-
     def scaled(self, k: RationalLike) -> "ValueFunction":
-        return ValueFunction(
-            self.variant,
-            size_weights=self.size_weights,
-            node_weights=self.node_weights,
-            table=self.table,
-            scale=self.scale * as_fraction(k),
-        )
+        return replace(self, scale=self.scale * as_fraction(k))
 
     def of(self, members: Coalition) -> Fraction:
         """Value of an already-trimmed coalition."""
@@ -157,16 +147,6 @@ def basic_game(tree: RootedTree) -> TreeGame:
 def coalition_value(game: TreeGame, members: Iterable[int]) -> Fraction:
     """Worth of an arbitrary coalition: ``f`` applied to its trimmed part."""
     return game.f.of(game.tree.trim(members))
-
-
-def marginal_contribution(
-    game: TreeGame, i: int, members: Iterable[int]
-) -> Fraction:
-    """Value change when ``i`` joins a coalition it is not yet part of."""
-    base = frozenset(members)
-    if i in base:
-        raise ValueError(f"agent {i} is already in the coalition")
-    return coalition_value(game, base | {i}) - coalition_value(game, base)
 
 
 def scale_game(game: TreeGame, k: RationalLike) -> TreeGame:

@@ -18,10 +18,10 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from functools import wraps
 from typing import NamedTuple
 
-from .allocation import Allocation
+from .allocation import Allocation, exact_and_display, exact_and_display_text
 from .mechanisms import (
     GEOMETRIC,
     MECHANISM_KINDS,
@@ -85,8 +85,9 @@ class TreeDocument:
     labels: dict[int, str]
 
 
-def parse_tree_document(data: dict, strict: bool = True) -> TreeDocument:
-    """Validate an already-decoded tree document."""
+def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
+    """Parse and validate a JSON tree document from text."""
+    data = _decode_json(text, "tree file")
     if not isinstance(data, dict):
         raise InputFormatError("tree document must be a JSON object")
     known = {"root", "edges", "labels"}
@@ -133,25 +134,6 @@ def parse_tree_document(data: dict, strict: bool = True) -> TreeDocument:
             raise InputFormatError(f"label for node {node} must be a JSON string")
         labels[node] = name
     return TreeDocument(tree=tree, labels=labels)
-
-
-def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
-    """Parse a JSON tree document from text."""
-    return parse_tree_document(_decode_json(text, "tree file"), strict=strict)
-
-
-def render_tree_file(tree: RootedTree, labels: dict[int, str] | None = None) -> str:
-    """Serialise a tree back to the document format; round-trips exactly."""
-    doc: dict = {
-        "root": tree.root,
-        "edges": [
-            {"child": child, "parent": parent}
-            for child, parent in sorted(tree.edges())
-        ],
-    }
-    if labels:
-        doc["labels"] = {str(k): v for k, v in sorted(labels.items())}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- event logs ----------------------------------------------------------
@@ -303,12 +285,20 @@ def _json_bool(value: object) -> bool:
     return value
 
 
-def _json_count(value: object) -> int:
-    """An integral JSON number such as ``3`` or ``3.0``, never a truncation."""
+# The exhaustive checks hold lists of 2**n entries, so a larger limit could
+# ask for more memory than there is.
+LIMIT_CEILING = 20
+
+
+def _json_limit(value: object) -> int:
+    """A check's size limit: an integral JSON number such as ``3`` or
+    ``3.0``, never a truncation, and at most ``LIMIT_CEILING``."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
         raise ValueError(f"expected an integer, got {value!r}")
+    if value > LIMIT_CEILING:
+        raise ValueError(f"expected at most {LIMIT_CEILING}, got {value!r}")
     return int(value)
 
 
@@ -319,9 +309,9 @@ _CONFIG_PARSERS: dict[str, Callable] = {
     "ratio": parse_rational,
     "normalize": _json_bool,
     "referrer_share": parse_rational,
-    "limit_bruteforce": _json_count,
-    "limit_core": _json_count,
-    "limit_convex": _json_count,
+    "limit_bruteforce": _json_limit,
+    "limit_core": _json_limit,
+    "limit_convex": _json_limit,
     "output_format": str,
     "exact": _json_bool,
 }
@@ -357,11 +347,59 @@ def load_config(path: str) -> RunConfig:
 
 # -- rendering -----------------------------------------------------------
 
+def _any_length(render: Callable[..., str]) -> Callable[..., str]:
+    """``render`` with the ``texts`` that ``Allocation.rows`` writes with
+    ``str``, or, when an integer is too long for ``str``, again with
+    ``exact_and_display_text``, which writes integers of any length."""
+
+    @wraps(render)
+    def run(*args, **kwargs) -> str:
+        try:
+            return render(*args, **kwargs, texts=exact_and_display)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return render(*args, **kwargs, texts=exact_and_display_text)
+
+    return run
+
+
+def _entries(
+    output_format: str,
+    results: list[tuple[str | None, Allocation]],
+    nodes: list[int] | None,
+    texts: Callable,
+) -> str:
+    """The records or csv text of ``(mechanism, allocation)`` pairs, a line
+    per node of each allocation; a mechanism of None leaves its field out."""
+    records = output_format == "records"
+    lines = [] if records else [
+        ("mechanism," if results[0][0] else "") + "node,exact,display"
+    ]
+    for kind, allocation in results:
+        rows = allocation.rows(nodes, texts)
+        if records:
+            # json.dumps layout, written directly: no field needs escaping.
+            head = f'{{"mechanism": "{kind}", ' if kind else "{"
+            lines.extend(
+                f'{head}"node": {node}, "exact": "{value}", "display": {display}}}'
+                for node, value, display in rows
+            )
+        else:
+            head = f"{kind}," if kind else ""
+            lines.extend(
+                f"{head}{node},{value},{display}" for node, value, display in rows
+            )
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
+
+
+@_any_length
 def render_report(
     report: RewardReport,
     output_format: str = "table",
     exact: bool = False,
     labels: dict[int, str] | None = None,
+    *,
+    texts: Callable,
 ) -> str:
     """Render a mechanism comparison in the chosen format.
 
@@ -372,71 +410,42 @@ def render_report(
     nodes = sorted(
         {node for allocation in report.allocations() for node in allocation.numerators}
     )
-    if output_format == "records":
-        # json.dumps layout, written directly: no field needs escaping.
-        lines = (
-            f'{{"mechanism": "{spec.kind}", "node": {node}, '
-            f'"exact": "{value}", "display": {display}}}'
-            for spec, allocation in report.results
-            for node, value, display in allocation.rows(nodes)
-        )
-        return "\n".join(lines) + "\n"
-    if output_format == "csv":
-        lines = (
-            f"{spec.kind},{node},{value},{display}"
-            for spec, allocation in report.results
-            for node, value, display in allocation.rows(nodes)
-        )
-        return "\n".join(chain(["mechanism,node,exact,display"], lines)) + "\n"
+    if output_format != "table":
+        results = [(spec.kind, allocation) for spec, allocation in report.results]
+        return _entries(output_format, results, nodes, texts)
 
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
-    rows = [
+    grid = [("mechanism", headers)]
+    grid.extend(
         (spec.kind, [value if exact else str(display)
-                     for _, value, display in allocation.rows(nodes)])
+                     for _, value, display in allocation.rows(nodes, texts)])
         for spec, allocation in report.results
-    ]
-    name_width = max(len("mechanism"), *(len(name) for name, _ in rows))
-    widths = [
-        max(len(headers[k]), *(len(cells[k]) for _, cells in rows))
-        for k in range(len(nodes))
-    ]
+    )
+    name_width = max(len(name) for name, _ in grid)
+    widths = [max(len(cells[k]) for _, cells in grid) for k in range(len(nodes))]
     lines = [
-        "  ".join(
-            ["mechanism".ljust(name_width)]
-            + [headers[k].rjust(widths[k]) for k in range(len(nodes))]
-        )
+        "  ".join([name.ljust(name_width), *map(str.rjust, cells, widths)])
+        for name, cells in grid
     ]
-    for name, cells in rows:
-        lines.append(
-            "  ".join(
-                [name.ljust(name_width)]
-                + [cells[k].rjust(widths[k]) for k in range(len(nodes))]
-            )
-        )
     summary = (
         f"nodes={report.n} height={report.height} referrals={report.referral_count}"
     )
     return "\n".join(lines + [summary]) + "\n"
 
 
+@_any_length
 def render_allocation(
-    allocation: Allocation, output_format: str = "table", exact: bool = False
+    allocation: Allocation,
+    output_format: str = "table",
+    exact: bool = False,
+    *,
+    texts: Callable,
 ) -> str:
     """Render a single allocation (used for stream finals)."""
-    rows = allocation.rows()
-    if output_format == "records":
-        lines = (
-            f'{{"node": {node}, "exact": "{value}", "display": {display}}}'
-            for node, value, display in rows
-        )
-    elif output_format == "csv":
-        lines = chain(
-            ["node,exact,display"],
-            (f"{node},{value},{display}" for node, value, display in rows),
-        )
-    else:
-        lines = (
-            f"{node}\t{value if exact else display}" for node, value, display in rows
-        )
-    return "\n".join(lines) + "\n"
+    if output_format != "table":
+        return _entries(output_format, [(None, allocation)], None, texts)
+    return "".join(
+        f"{node}\t{value if exact else display}\n"
+        for node, value, display in allocation.rows(None, texts)
+    )

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import ClassVar
 
-from .allocation import Allocation, as_fraction
+from .allocation import Allocation, as_fraction, common_numerators
 from .shapley import root_adjust, shapley_basic
 from .tree import RootedTree
 
@@ -89,9 +88,9 @@ def allocate_refer_a_friend(tree: RootedTree, spec: ReferAFriend) -> Allocation:
     """
     to_referrer = spec.referrer_share * spec.unit_value
     to_invitee = spec.unit_value - to_referrer
-    denominator = lcm(to_referrer.denominator, to_invitee.denominator)
-    referrer_share = to_referrer.numerator * (denominator // to_referrer.denominator)
-    invitee_share = to_invitee.numerator * (denominator // to_invitee.denominator)
+    (referrer_share, invitee_share), denominator = common_numerators(
+        [to_referrer, to_invitee]
+    )
     ids, parents = tree._ids, tree._parents
     numerators = [invitee_share] * tree.n
     numerators[0] = 0  # the root, first in canonical order
@@ -101,8 +100,9 @@ def allocate_refer_a_friend(tree: RootedTree, spec: ReferAFriend) -> Allocation:
 
 
 def _geometric_numerators(tree: RootedTree, ratio: Fraction) -> tuple[list[int], int]:
-    """Raw shares as integer numerators over ``q**height`` for ``ratio = p/q``,
-    listed in canonical (rank) order.
+    """Each node's raw share, ``ratio**distance`` summed over its strict
+    descendants (0 for a leaf), as integer numerators over ``q**height`` for
+    ``ratio = p/q``, listed in canonical (rank) order.
 
     A node at depth ``k`` first sums ``p**d * q**(height-k-d)`` over its
     strict descendants at distance ``d``, which is integral because
@@ -119,16 +119,6 @@ def _geometric_numerators(tree: RootedTree, ratio: Fraction) -> tuple[list[int],
             below = q_pow[height - depths[r] - 1]
             acc[r] = p * (below * len(kids) + sum(acc[c] for c in kids))
     return [a * q_pow[k] for a, k in zip(acc, depths)], q_pow[height]
-
-
-def geometric_raw_shares(tree: RootedTree, ratio: Fraction) -> dict[int, Fraction]:
-    """Each node's share: ``ratio**distance`` summed over strict descendants.
-
-    Computed bottom-up in one pass; leaves always get 0 because invitees earn
-    nothing at the time of joining.
-    """
-    numerators, denominator = _geometric_numerators(tree, as_fraction(ratio))
-    return {i: Fraction(v, denominator) for i, v in zip(tree._ids, numerators)}
 
 
 def allocate_geometric(tree: RootedTree, spec: Geometric) -> Allocation:

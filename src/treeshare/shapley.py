@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .allocation import Allocation, as_fraction, common_numerators
-from .games import TreeGame, coalition_values_by_mask
-from .tree import RootedTree, TreeError, UnknownNodeError, build_tree
+from .games import BASIC, TreeGame, coalition_values_by_mask
+from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
 
 
 class SizeLimitError(ValueError):
@@ -166,7 +166,7 @@ def shapley_value(game: TreeGame) -> Allocation:
     the linearity of the Shapley value under scaling; everything else goes
     through the trimmed-coalition sum.
     """
-    if game.f.is_basic:
+    if game.f.variant == BASIC:
         base = shapley_basic(game.tree)
         return base if game.f.scale == 1 else base.scaled(game.f.scale)
     return shapley_general(game)
@@ -204,8 +204,7 @@ class IncrementalState:
     """
 
     def __init__(self, root: int, root_adjust: bool = False):
-        if not isinstance(root, int) or isinstance(root, bool) or root <= 0:
-            raise TreeError(f"node ids must be positive integers, got {root!r}")
+        _check_id(root)
         self.root = root
         self.root_adjust = root_adjust
         # Insertion order is join order, so parents always precede children.

@@ -195,62 +195,6 @@ class RootedTree:
         """Height of the subtree hanging from ``i`` (0 for a leaf)."""
         return self._subheights[self._rank_of(i)]
 
-    def level(self, j: int, root: int | None = None) -> Coalition:
-        """Nodes at depth ``j``, measured inside the subtree of ``root``.
-
-        With ``root=None`` the whole tree is used. Raises ValueError when
-        ``j`` lies outside ``0..height`` of the chosen scope.
-        """
-        if root is None:
-            if not 0 <= j <= self._height:
-                raise ValueError(f"level index {j} out of range 0..{self._height}")
-            ids = self._ids
-            return frozenset(
-                ids[r] for r, d in enumerate(self._depths) if d == j
-            )
-        top = self._rank_of(root)
-        if not 0 <= j <= self._subheights[top]:
-            raise ValueError(
-                f"level index {j} out of range 0..{self._subheights[top]}"
-            )
-        base = self._depths[top]
-        ids = self._ids
-        out = []
-        stack = [top]
-        while stack:
-            r = stack.pop()
-            rel = self._depths[r] - base
-            if rel == j:
-                out.append(ids[r])
-                continue  # deeper nodes in this branch are below level j
-            stack.extend(self._children[r])
-        return frozenset(out)
-
-    def ancestors(self, i: int) -> Coalition:
-        """All nodes strictly between ``i`` and the root, plus the root."""
-        out = []
-        r = self._parents[self._rank_of(i)]
-        ids = self._ids
-        while r >= 0:
-            out.append(ids[r])
-            r = self._parents[r]
-        return frozenset(out)
-
-    def descendants(self, i: int) -> Coalition:
-        """All nodes strictly below ``i``."""
-        ids = self._ids
-        out = []
-        stack = list(self._children[self._rank_of(i)])
-        while stack:
-            r = stack.pop()
-            out.append(ids[r])
-            stack.extend(self._children[r])
-        return frozenset(out)
-
-    def subtree_nodes(self, i: int) -> Coalition:
-        """``i`` together with all its descendants."""
-        return self.descendants(i) | {i}
-
     # -- trimming ----------------------------------------------------------
 
     def _ranks_of(self, members: Iterable[int]) -> list[int]:
@@ -283,22 +227,6 @@ class RootedTree:
         rset = set(self._ranks_of(members))
         parents = self._parents
         return all(r == 0 or parents[r] in rset for r in rset)
-
-    def adjacent(self, members: Iterable[int]) -> Coalition:
-        """Nodes outside the coalition with an edge into it."""
-        rset = set(self._ranks_of(members))
-        parents = self._parents
-        children = self._children
-        out: set[int] = set()
-        for r in rset:
-            p = parents[r]
-            if p >= 0 and p not in rset:
-                out.add(p)
-            for c in children[r]:
-                if c not in rset:
-                    out.add(c)
-        ids = self._ids
-        return frozenset(ids[r] for r in out)
 
     def enumerate_trimmed(self) -> Iterator[Coalition]:
         """Stream every parent-closed, root-connected coalition, plus the
@@ -348,13 +276,23 @@ class RootedTree:
             members.append(e)
             yield frozenset(ids[r] for r in members)
 
+    def _subtree_counts(self) -> list[int]:
+        """Per canonical rank ``r``, ``t(r)``: how many parent-closed sets of
+        r's subtree contain r. Each is r plus, at every child ``c``, nothing
+        or one such set of c's subtree, so ``t(r) = prod(1 + t(c))``, filled
+        bottom-up. Not kept."""
+        parents = self._parents
+        t = [1] * self.n
+        for r in range(self.n - 1, 0, -1):
+            t[parents[r]] *= 1 + t[r]
+        return t
+
     def _trimmed_counts(self) -> tuple[int, ...]:
         """Per canonical rank, how many trimmed coalitions contain that node.
 
-        ``t(r)``, the parent-closed sets of r's subtree that contain r, is
-        ``prod(1 + t(child))``, filled bottom-up. Then ``count(root) =
-        t(root)``, and a child ``c`` splits its parent's count into the
-        ``t(c)`` choices that include it and the one that does not, so
+        ``count(root) = t(root)`` (see ``_subtree_counts``), and a child
+        ``c`` splits its parent's count into the ``t(c)`` choices that
+        include it and the one that does not, so
         ``count(c) = count(parent) * t(c) / (1 + t(c))`` top-down. Computed
         on first use and kept: building a tree pays nothing for it.
         """
@@ -362,28 +300,12 @@ class RootedTree:
         if counts is None:
             n = self.n
             parents = self._parents
-            t = [1] * n
-            for r in range(n - 1, 0, -1):
-                t[parents[r]] *= 1 + t[r]
+            t = self._subtree_counts()
             found = [t[0]] * n
             for r in range(1, n):
                 found[r] = found[parents[r]] * t[r] // (1 + t[r])
             counts = self._counts = tuple(found)
         return counts
-
-    def same_trim_count(self, members: Iterable[int]) -> int:
-        """How many coalitions trim down to this exact trimmed set.
-
-        Those are precisely the supersets avoiding every node adjacent to the
-        set, hence ``2**(n - |set| - |adjacent|)``. Requires a nonempty
-        trimmed set.
-        """
-        mset = frozenset(members)
-        if not mset:
-            raise TreeError("same-trim counting requires a nonempty trimmed set")
-        if not self.is_trimmed(mset):
-            raise TreeError(f"coalition {sorted(mset)} is not trimmed")
-        return 2 ** (self.n - len(mset) - len(self.adjacent(mset)))
 
 
 def build_tree(edges: Iterable[tuple[int, int]], root: int) -> RootedTree:

@@ -92,6 +92,39 @@ def shapley_by_permutations(game) -> dict[int, Fraction]:
     return {i: total / count for i, total in totals.items()}
 
 
+# -- tree navigation ---------------------------------------------------------
+
+def root_path(tree: RootedTree, i: int) -> frozenset[int]:
+    """``i`` and every ancestor of ``i``, up to the root."""
+    path = {i}
+    while (i := tree.parent(i)) is not None:
+        path.add(i)
+    return frozenset(path)
+
+
+def adjacent(tree: RootedTree, members) -> frozenset[int]:
+    """Nodes outside the coalition with an edge into it."""
+    edges = set()
+    for i in members:
+        edges.update(tree.children(i))
+        edges.add(tree.parent(i))
+    return frozenset(edges - set(members) - {None})
+
+
+def subtree_level(tree: RootedTree, i: int, j: int) -> frozenset[int]:
+    """The nodes ``j`` levels below ``i``."""
+    level = {i}
+    for _ in range(j):
+        level = {c for k in level for c in tree.children(k)}
+    return frozenset(level)
+
+
+def marginal_contribution(game, i: int, members) -> Fraction:
+    """What ``i`` adds by joining ``members``, which it is not part of."""
+    base = frozenset(members)
+    return coalition_value(game, base | {i}) - coalition_value(game, base)
+
+
 # -- tree generators -------------------------------------------------------
 
 def random_tree_edges(

@@ -18,24 +18,21 @@ from treeshare import (
     IncrementalState,
     TreeGame,
     ValueFunction,
-    allocate_shapley_mechanism,
     basic_game,
-    binary_tree_count,
     build_tree,
-    chain,
     compare,
-    complete_binary_tree,
-    complexity_table,
     count_trimmed_containing,
     is_convex,
     is_in_core,
-    scale_game,
     shapley_basic,
     shapley_bruteforce,
     shapley_general,
     shapley_value,
-    star,
 )
+from treeshare.analysis import binary_tree_count, complexity_table
+from treeshare.games import scale_game
+from treeshare.mechanisms import allocate_shapley_mechanism
+from treeshare.tree import chain, complete_binary_tree, star
 from treeshare.cli import main as cli_main
 from treeshare.io import JoinEvent, replay_events
 

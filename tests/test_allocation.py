@@ -18,17 +18,17 @@ from treeshare import (
     Geometric,
     IncrementalState,
     ReferAFriend,
+    build_tree,
+    shapley_basic,
+)
+from treeshare.allocation import as_fraction, round_half_away_from_zero
+from treeshare.mechanisms import (
     allocate_geometric,
     allocate_refer_a_friend,
     allocate_shapley_mechanism,
-    as_fraction,
-    build_tree,
-    chain,
-    root_adjust,
-    round_half_away_from_zero,
-    shapley_basic,
-    star,
 )
+from treeshare.shapley import root_adjust
+from treeshare.tree import chain, star
 from treeshare.io import render_allocation
 
 

@@ -14,21 +14,22 @@ from treeshare import (
     TreeGame,
     ValueFunction,
     basic_game,
-    binary_tree_count,
     build_tree,
-    chain,
-    complete_binary_tree,
-    complexity_table,
     count_trimmed_containing,
-    is_complete_binary_tree,
     is_convex,
     is_in_core,
-    run_verification,
-    scale_game,
     shapley_basic,
     shapley_bruteforce,
-    star,
 )
+from treeshare import analysis
+from treeshare.analysis import (
+    binary_tree_count,
+    complexity_table,
+    is_complete_binary_tree,
+    run_verification,
+)
+from treeshare.games import scale_game
+from treeshare.tree import chain, complete_binary_tree, star
 from treeshare.analysis import trimmed_work
 
 from conftest import (
@@ -256,11 +257,12 @@ def test_run_verification_skips_general_on_bushy_trees():
     assert statuses["closed form vs trimmed-coalition sum"] == "skipped"
 
 
-def test_run_verification_detects_corrupted_allocation(example_tree):
+def test_run_verification_detects_corrupted_allocation(example_tree, monkeypatch):
     bad = Allocation(
         {1: Fraction(0), 3: Fraction(10, 3), 6: Fraction(1, 3), 7: Fraction(1, 3)}
     )
-    report = run_verification(example_tree, allocation_override=bad)
+    monkeypatch.setattr(analysis, "shapley_basic", lambda tree: bad)
+    report = run_verification(example_tree)
     assert not report.passed
     core = next(c for c in report.checks if c.name == "core membership")
     assert core.status == "fail"

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshare import IncrementalState, round_half_away_from_zero
+from treeshare import IncrementalState
+from treeshare.allocation import round_half_away_from_zero
 from treeshare.cli import DELTA_CHUNK_LINES, main
 
 from conftest import random_tree_edges, shuffle_ids
@@ -127,6 +129,9 @@ def test_compute_config_file_with_flag_override(example_file, tmp_path, capsys):
         ("compute", {"normalize": "no"}),
         ("verify", {"limit_core": 2.9}),
         ("verify", {"limit_bruteforce": True}),
+        ("verify", {"limit_bruteforce": 21}),
+        ("verify", {"limit_core": 21}),
+        ("verify", {"limit_convex": 40}),
     ],
 )
 def test_config_file_with_mistyped_entry_exits_1(
@@ -306,6 +311,50 @@ def test_verify_skips_on_large_tree(tmp_path, capsys):
     assert "closed form vs trimmed-coalition sum" in out
 
 
+def test_verify_lines_for_every_skip_reason(tmp_path, capsys):
+    # A 20-node star is past every default limit and past the budget:
+    # 19 * 2**18 + 2**19 trimmed-coalition members.
+    path = tmp_path / "star20.json"
+    path.write_text(json.dumps(
+        {"root": 1, "edges": [{"child": k, "parent": 1} for k in range(2, 21)]}
+    ))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "SKIPPED  closed form vs brute force (n=20 exceeds brute-force limit 10)",
+        "SKIPPED  closed form vs trimmed-coalition sum "
+        "(5505024 trimmed coalitions exceed budget 200000)",
+        "PASS     efficiency (rewards sum to n) (total=20)",
+        "SKIPPED  core membership (n=20 exceeds core limit 16)",
+        "SKIPPED  convexity (n=20 exceeds convexity limit 12)",
+    ]
+
+
+def test_verify_lines_for_core_and_convexity_failures(
+    example_file, capsys, monkeypatch
+):
+    # Both failures are unreachable with honest engines, so inject them: a
+    # closed form that pays the root nothing (total still n), and a made-up
+    # convexity counterexample.
+    from treeshare import analysis
+    from treeshare.allocation import Allocation
+
+    paid = Allocation({1: 0, 3: Fraction(10, 3), 6: Fraction(1, 3), 7: Fraction(1, 3)})
+    witness = analysis.ConvexityResult(
+        convex=False, agent=6, smaller=frozenset({1}), larger=frozenset({1, 3}))
+    monkeypatch.setattr(analysis, "shapley_basic", lambda tree: paid)
+    monkeypatch.setattr(analysis, "is_convex", lambda game, limit: witness)
+    code, out, _ = run(capsys, "verify", example_file)
+    assert code == 2
+    assert out.splitlines() == [
+        "FAIL     closed form vs brute force",
+        "FAIL     closed form vs trimmed-coalition sum",
+        "PASS     efficiency (rewards sum to n) (total=4)",
+        "FAIL     core membership (coalition [1] short by 1)",
+        "FAIL     convexity (agent 6 loses by joining [1, 3] vs [1])",
+    ]
+
+
 # -- count -------------------------------------------------------------------------
 
 def test_count_chain(tmp_path, capsys):
@@ -438,6 +487,19 @@ def test_flag_and_config_entry_give_identical_output(
     assert by_flag[0] == 0
     assert by_file == by_flag
     assert by_flag[1] != without[1]
+
+
+@pytest.mark.parametrize("flag",
+                         ["--limit-bruteforce", "--limit-core", "--limit-convex"])
+def test_limit_flag_above_the_ceiling_exits_1_before_any_work(flag, capsys):
+    # The exhaustive checks hold lists of 2**n entries; 21 allocates nothing
+    # here because the limit is refused while the flags are parsed.
+    tree = _golden_input("verify")
+    code, out, err = run(capsys, "verify", tree, flag, "21")
+    assert (code, out) == (1, "")
+    field = flag[2:].replace("-", "_")
+    assert err == f"error: config field '{field}': expected at most 20, got 21\n"
+    assert run(capsys, "verify", tree, flag, "20") == run(capsys, "verify", tree)
 
 
 def test_flag_beats_config_entry(tmp_path, capsys):
@@ -788,6 +850,92 @@ def test_any_config_exits_0_or_1(config, tmp_path_factory):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ")
+
+
+# -- numbers longer than str() writes ------------------------------------------------
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-str digit limit for this block only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _long_number_reference(argv: list[str]) -> tuple[int, str, str]:
+    """The run with the limit lifted, where plain ``str`` writes every
+    number: what the chunked writer must reproduce under the limit."""
+    with _unlimited_int_digits():
+        return _main_output(argv)
+
+
+@pytest.fixture(scope="module")
+def chain60(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "chain60.json"
+    path.write_text(json.dumps(
+        {"root": 1, "edges": [{"child": k, "parent": k - 1} for k in range(2, 61)]}
+    ))
+    return str(path)
+
+
+GEOMETRIC_60 = ["compute", "chain60", "--mechanism", "geometric", "--no-normalize",
+                "--ratio", "1/1" + "0" * 100]
+
+
+@pytest.mark.parametrize("argv,prints_long", [
+    (["compute", "f9.json", "--mechanism", "shapley", "--unit", "1e5000"], True),
+    (["stream", "f9.log", "--quiet", "--unit", "1e5000"], True),
+    (["stream", "f9.log", "--unit", "1e5000"], True),
+    # The shares round to 0, but their exact text, with denominators of 5900
+    # digits, is still made; --exact prints it.
+    (GEOMETRIC_60, False),
+    (GEOMETRIC_60 + ["--exact"], True),
+], ids=["compute", "stream-quiet", "stream-verbose", "compute-geometric",
+        "compute-geometric-exact"])
+def test_numbers_longer_than_str_allows_print_in_full(argv, prints_long, chain60):
+    source = argv[1]
+    path = chain60 if source == "chain60" else str(GOLDEN / source)
+    argv = [argv[0], path, *argv[2:]]
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, err = _main_output(argv)
+    assert (code, err) == (0, "")
+    assert (max(map(len, out.split())) > 4300) == prints_long
+    assert (code, out, err) == _long_number_reference(argv)
+    if argv[0] == "stream" and "--quiet" not in argv:
+        assert sum(line.startswith("seq ") for line in out.splitlines()) == 8
+
+
+# Short and long exponents alike: str() writes at most 4300 digits.
+LONG_UNITS = st.builds(
+    "{}{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 10**30),
+    st.integers(0, 50) | st.integers(4_300, 10_000),
+)
+LONG_RATIOS = st.builds(
+    "{}e-{}".format, st.integers(1, 999),
+    st.integers(3, 50) | st.integers(1_500, 3_300),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["compute", "stream"]), unit=LONG_UNITS,
+       ratio=LONG_RATIOS,
+       flags=st.lists(st.sampled_from(["--exact", "--no-normalize", "--format=csv",
+                                       "--format=records", "--quiet"]),
+                      max_size=3, unique=True))
+def test_long_units_and_ratios_print_like_unlimited_str(command, unit, ratio, flags):
+    # f9 has height 3, so the geometric denominator is the ratio's cubed:
+    # up to about 10^4 digits.
+    if command == "compute":
+        flags = [f for f in flags if f != "--quiet"] + ["--ratio", ratio]
+    else:
+        flags = [f for f in flags if f != "--no-normalize"]
+    argv = [command, _golden_input(command), "--unit", unit, *flags]
+    result = _main_output(argv)
+    assert result[0] == 0, result[2]
+    assert result == _long_number_reference(argv)
 
 
 # -- verify and count at scale ----------------------------------------------------

@@ -16,14 +16,13 @@ from treeshare import (
     ValueFunction,
     basic_game,
     build_tree,
-    chain,
     coalition_value,
     coalition_values_by_mask,
-    marginal_contribution,
-    scale_game,
 )
+from treeshare.games import scale_game
+from treeshare.tree import chain
 
-from conftest import all_subsets, random_tree_edges, seeded_trees
+from conftest import all_subsets, marginal_contribution, random_tree_edges, seeded_trees
 
 
 def random_explicit_game(rng: random.Random, tree) -> TreeGame:
@@ -153,21 +152,6 @@ def test_floats_are_refused():
 
 
 # -- marginal contributions ---------------------------------------------------
-
-def test_marginal_contribution_examples(example_tree):
-    game = basic_game(example_tree)
-    # 3 reconnects the whole branch: itself plus 6 and 7.
-    assert marginal_contribution(game, 3, {1, 6, 7}) == 3
-    # 6 cannot reach the root without 3.
-    assert marginal_contribution(game, 6, {1}) == 0
-    assert marginal_contribution(game, 1, frozenset()) == 1
-
-
-def test_marginal_contribution_rejects_member(example_tree):
-    game = basic_game(example_tree)
-    with pytest.raises(ValueError, match="already"):
-        marginal_contribution(game, 3, {1, 3})
-
 
 def test_disconnected_agents_contribute_nothing_exhaustively():
     # Whoever is outside the trimmed part adds no value by joining.

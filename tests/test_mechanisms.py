@@ -12,18 +12,18 @@ from treeshare import (
     Geometric,
     ReferAFriend,
     allocate,
+    build_tree,
+    compare,
+    shapley_basic,
+)
+from treeshare.mechanisms import (
     allocate_geometric,
     allocate_refer_a_friend,
     allocate_shapley_mechanism,
-    build_tree,
-    chain,
-    compare,
-    geometric_raw_shares,
-    shapley_basic,
-    star,
 )
+from treeshare.tree import chain, star
 
-from conftest import random_tree_edges, shuffle_ids
+from conftest import random_tree_edges, root_path, shuffle_ids, subtree_level
 
 
 # -- refer-a-friend ------------------------------------------------------------
@@ -61,8 +61,8 @@ def test_refer_a_friend_budget_is_unit_per_referral():
 
 def test_geometric_example_normalized(example_tree):
     spec = Geometric(1000)
-    shares = geometric_raw_shares(example_tree, spec.ratio)
-    assert shares == {1: 1, 3: 1, 6: 0, 7: 0}
+    shares = allocate_geometric(example_tree, Geometric(1, spec.ratio, normalize=False))
+    assert shares.rewards == {1: 1, 3: 1, 6: 0, 7: 0}
     allocation = allocate_geometric(example_tree, spec)
     assert allocation.rewards == {1: 1500, 3: 1500, 6: 0, 7: 0}
 
@@ -101,9 +101,12 @@ def test_geometric_share_bounds():
     ratio = Fraction(1, 2)
     for _ in range(10):
         tree = build_tree(random_tree_edges(rng, rng.randint(1, 30)), 1)
-        shares = geometric_raw_shares(tree, ratio)
+        shares = allocate_geometric(tree, Geometric(1, ratio, normalize=False))
         for i in tree.node_ids:
-            descendants = tree.descendants(i)
+            descendants = set().union(*(
+                subtree_level(tree, i, j)
+                for j in range(1, tree.height_of_subtree(i) + 1)
+            ))
             assert shares[i] <= len(descendants) * ratio
             assert (shares[i] == 0) == (not descendants)
             # the bound is tight exactly when all descendants are children
@@ -147,7 +150,7 @@ def _per_join_equal_shares(tree, unit: Fraction, root_adjust: bool) -> dict:
             continue
         share = unit / (tree.depth(j) + 1)
         expected[j] += share
-        for a in tree.ancestors(j):
+        for a in root_path(tree, j) - {j}:
             expected[a] += share
     if root_adjust:
         expected[tree.root] -= unit

@@ -19,15 +19,14 @@ from treeshare import (
     ValueFunction,
     basic_game,
     build_tree,
-    chain,
-    root_adjust,
-    scale_game,
     shapley_basic,
     shapley_bruteforce,
     shapley_general,
     shapley_value,
-    star,
 )
+from treeshare.games import scale_game
+from treeshare.shapley import root_adjust
+from treeshare.tree import chain, star
 
 from conftest import (
     all_tree_edge_lists,
@@ -35,6 +34,7 @@ from conftest import (
     seeded_trees,
     shapley_by_permutations,
     shuffle_ids,
+    subtree_level,
 )
 from test_games import GAME_KINDS, count_value_calls, random_explicit_game, random_game
 
@@ -109,7 +109,7 @@ def test_basic_matches_per_node_level_sum(f9):
     allocation = shapley_basic(f9)
     for i in f9.node_ids:
         expected = sum(
-            Fraction(len(f9.level(j, root=i)), f9.depth(i) + j + 1)
+            Fraction(len(subtree_level(f9, i, j)), f9.depth(i) + j + 1)
             for j in range(f9.height_of_subtree(i) + 1)
         )
         assert allocation[i] == expected

@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshare import (
-    TreeError,
-    UnknownNodeError,
-    build_tree,
-    chain,
-    complete_binary_tree,
-    star,
-)
+from treeshare import TreeError, UnknownNodeError, build_tree
+from treeshare.tree import chain, complete_binary_tree, star
 
 from conftest import (
     F9_EDGES,
+    adjacent,
     all_subsets,
     random_tree_edges,
+    root_path,
     shuffle_ids,
     trim_by_definition,
     trimmed_by_enumeration,
@@ -97,27 +93,7 @@ def test_depths_on_fixture(f9):
     assert f9.height == 3
 
 
-def test_ancestors(f9):
-    assert f9.ancestors(1) == frozenset()
-    assert f9.ancestors(8) == {1, 2, 4}
-
-
-def test_levels(f9):
-    assert f9.level(0) == {1}
-    assert f9.level(1) == {2, 3}
-    assert f9.level(3) == {8, 9}
-    assert f9.level(1, root=2) == {4, 5}
-    assert f9.level(2, root=2) == {8, 9}
-    with pytest.raises(ValueError, match="out of range"):
-        f9.level(4)
-    with pytest.raises(ValueError, match="out of range"):
-        f9.level(2, root=3)
-
-
-def test_subtree_and_descendants(f9):
-    assert f9.descendants(2) == {4, 5, 8, 9}
-    assert f9.subtree_nodes(2) == {2, 4, 5, 8, 9}
-    assert f9.subtree_nodes(9) == {9}
+def test_height_of_subtree(f9):
     assert f9.height_of_subtree(2) == 2
     assert f9.height_of_subtree(9) == 0
 
@@ -127,8 +103,6 @@ def test_unknown_node_errors(f9):
         f9.depth(42)
     with pytest.raises(UnknownNodeError):
         f9.trim({1, 42})
-    with pytest.raises(UnknownNodeError):
-        f9.adjacent({42})
 
 
 # -- trimming --------------------------------------------------------------
@@ -144,13 +118,6 @@ def test_is_trimmed_fixture_examples(f9):
     assert f9.is_trimmed({1, 2, 5})
     assert not f9.is_trimmed({1, 2, 8, 9})
     assert f9.is_trimmed(frozenset())
-
-
-def test_adjacent_fixture_examples(f9):
-    assert f9.adjacent({1, 3, 6, 7}) == {2}
-    assert f9.adjacent(set(f9.node_ids)) == frozenset()
-    assert f9.adjacent({1}) == {2, 3}
-    assert f9.adjacent({4}) == {2, 8, 9}
 
 
 def test_trim_matches_definition_exhaustively(f9):
@@ -264,32 +231,19 @@ def test_enumerate_containing_matches_filter(f9):
         assert set(got) == expected
 
 
-# -- same-trim counting ------------------------------------------------------
+# -- trim classes ------------------------------------------------------
 
-def test_same_trim_count_fixture(f9):
-    assert f9.same_trim_count({1, 3}) == 16
-    assert f9.same_trim_count(f9.node_ids) == 1
-    assert chain(2).same_trim_count({1}) == 1
-
-
-def test_same_trim_count_requires_trimmed_nonempty(f9):
-    with pytest.raises(TreeError, match="not trimmed"):
-        f9.same_trim_count({1, 8})
-    with pytest.raises(TreeError, match="nonempty"):
-        f9.same_trim_count(frozenset())
-
-
-def test_same_trim_count_matches_exhaustive_partition(f9):
-    # Group the whole power set by trim image; the class sizes must agree
-    # with the formula, trim classes must partition everything, and the
-    # root-free class accounts for the remainder.
+def test_trim_classes_partition_the_power_set_by_size_formula(f9):
+    # Group the whole power set by trim image; a nonempty class C has
+    # 2**(n - |C| - |adjacent(C)|) members, trim classes partition
+    # everything, and the root-free class accounts for the remainder.
     classes: dict[frozenset, int] = {}
     for members in all_subsets(f9.node_ids):
         classes[f9.trim(members)] = classes.get(f9.trim(members), 0) + 1
     total = 0
     for image, size in classes.items():
         if image:
-            assert f9.same_trim_count(image) == size
+            assert size == 2 ** (f9.n - len(image) - len(adjacent(f9, image)))
         else:
             assert size == 2 ** (f9.n - 1)
         total += size
@@ -303,7 +257,7 @@ def test_same_trim_class_is_supersets_avoiding_adjacent(f9):
     for image in f9.enumerate_trimmed():
         if not image:
             continue
-        blocked = f9.adjacent(image)
+        blocked = adjacent(f9, image)
         for members in all_subsets(f9.node_ids):
             same = f9.trim(members) == image
             characterised = image <= members and not (members & blocked)
@@ -321,7 +275,7 @@ def test_union_of_classes_containing_node_is_trim_membership(f9):
         }
         by_classes = set()
         for image in f9.enumerate_trimmed_containing(i):
-            blocked = f9.adjacent(image)
+            blocked = adjacent(f9, image)
             for members in all_subsets(f9.node_ids):
                 if image <= members and not (members & blocked):
                     by_classes.add(members)
@@ -367,7 +321,7 @@ def test_enumeration_order_is_lexicographic_in_canonical_order():
         assert everything[1:] == sorted(everything[1:], key=key)
         for i in tree.node_ids:
             # ordered by the members added to the root path of i
-            path = tree.ancestors(i) | {i}
+            path = root_path(tree, i)
             got = list(tree.enumerate_trimmed_containing(i))
             assert got == sorted(got, key=lambda s: key(s - path))
 

@@ -9,7 +9,7 @@ in plain integer arithmetic; ``Fraction`` values are built only on request.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -36,24 +36,21 @@ def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
-def exact_and_display(numerator: int, denominator: int) -> tuple[str, int]:
+def _rounded(numerator: int, denominator: int) -> int:
+    """``numerator/denominator`` rounded half-away-from-zero; ``denominator``
+    is positive."""
+    magnitude = (2 * abs(numerator) + denominator) // (2 * denominator)
+    return magnitude if numerator >= 0 else -magnitude
+
+
+def exact_and_display(numerator: int, denominator: int) -> tuple[str, str]:
     """The reduced "p/q" (or plain integer) text of ``numerator/denominator``
-    and its value rounded half-away-from-zero; ``denominator`` is positive."""
+    and the text of its half-away-from-zero rounding, for integers of any
+    length; ``denominator`` is positive."""
     g = gcd(numerator, denominator)
     p, q = numerator // g, denominator // g
-    try:
-        exact = str(p) if q == 1 else f"{p}/{q}"
-    except ValueError:  # more digits than str() writes
-        exact = decimal_text(p) if q == 1 else f"{decimal_text(p)}/{decimal_text(q)}"
-    magnitude = (2 * abs(numerator) + denominator) // (2 * denominator)
-    return exact, magnitude if numerator >= 0 else -magnitude
-
-
-def exact_and_display_text(numerator: int, denominator: int) -> tuple[str, str]:
-    """``exact_and_display`` with the display as text too, for integers of
-    any length: slower than ``str``, which refuses long ones."""
-    exact, display = exact_and_display(numerator, denominator)
-    return exact, decimal_text(display)
+    exact = decimal_text(p) if q == 1 else f"{decimal_text(p)}/{decimal_text(q)}"
+    return exact, decimal_text(_rounded(numerator, denominator))
 
 
 _CHUNK_DIGITS = 600  # below the smallest digit limit Python allows (640)
@@ -87,7 +84,7 @@ def round_half_away_from_zero(value: Fraction) -> int:
     shows as 1167 and 333.33... as 333.
     """
     value = Fraction(value)
-    return exact_and_display(value.numerator, value.denominator)[1]
+    return _rounded(value.numerator, value.denominator)
 
 
 class Allocation:
@@ -170,17 +167,15 @@ class Allocation:
         return sorted(self.rewards.items())
 
     def rows(
-        self,
-        nodes: Iterable[int] | None = None,
-        texts: Callable[[int, int], tuple] = exact_and_display,
-    ) -> Iterator[tuple]:
+        self, nodes: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, str, str]]:
         """``(node, exact, display)`` per node, lazily: the reduced "p/q"
-        text and the half-away-from-zero rounding, as ``texts`` writes them
-        from the numerator and denominator. ``nodes`` defaults to every node
-        in ascending order; a node without an entry reads 0."""
+        text and the text of the half-away-from-zero rounding. ``nodes``
+        defaults to every node in ascending order; a node without an entry
+        reads 0."""
         numerators, denominator = self.numerators, self.denominator
         for node in sorted(numerators) if nodes is None else nodes:
-            yield node, *texts(numerators.get(node, 0), denominator)
+            yield node, *exact_and_display(numerators.get(node, 0), denominator)
 
     def __add__(self, other: "Allocation") -> "Allocation":
         denominator = lcm(self.denominator, other.denominator)
@@ -202,4 +197,6 @@ class Allocation:
 
     def display(self) -> dict[int, int]:
         """Rewards rounded half-away-from-zero, keyed by node id."""
-        return {node: display for node, _, display in self.rows()}
+        denominator = self.denominator
+        return {node: _rounded(numerator, denominator)
+                for node, numerator in sorted(self.numerators.items())}

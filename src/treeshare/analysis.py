@@ -62,10 +62,12 @@ def is_in_core(
     def members(mask: int) -> list[int]:
         return sorted(ids[r] for r in range(n) if mask >> r & 1)
 
-    short = [m for m in range(1, 1 << n) if paysum[m] < values[m] * value_scale]
-    if not short:
+    first = min(
+        (m for m in range(1, 1 << n) if paysum[m] < values[m] * value_scale),
+        key=members, default=None,
+    )
+    if first is None:
         return CoreCheckResult(in_core=True)
-    first = min(short, key=members)
     return CoreCheckResult(
         in_core=False,
         violator=frozenset(members(first)),

@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import analysis
-from .allocation import decimal_text, exact_and_display_text
+from .allocation import decimal_text, exact_and_display
 from .io import (
     OUTPUT_FORMATS,
     InputFormatError,
@@ -119,7 +119,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
         seq, node, parent = event
         shown = shown_share.get(delta.denominator)
         if shown is None:
-            exact, display = exact_and_display_text(
+            exact, display = exact_and_display(
                 unit_value.numerator, unit_value.denominator * delta.denominator
             )
             shown = shown_share[delta.denominator] = exact if config.exact else display

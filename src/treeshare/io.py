@@ -18,10 +18,9 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import wraps
 from typing import NamedTuple
 
-from .allocation import Allocation, exact_and_display, exact_and_display_text
+from .allocation import Allocation
 from .mechanisms import (
     GEOMETRIC,
     MECHANISM_KINDS,
@@ -347,26 +346,10 @@ def load_config(path: str) -> RunConfig:
 
 # -- rendering -----------------------------------------------------------
 
-def _any_length(render: Callable[..., str]) -> Callable[..., str]:
-    """``render`` with the ``texts`` that ``Allocation.rows`` writes with
-    ``str``, or, when an integer is too long for ``str``, again with
-    ``exact_and_display_text``, which writes integers of any length."""
-
-    @wraps(render)
-    def run(*args, **kwargs) -> str:
-        try:
-            return render(*args, **kwargs, texts=exact_and_display)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            return render(*args, **kwargs, texts=exact_and_display_text)
-
-    return run
-
-
 def _entries(
     output_format: str,
     results: list[tuple[str | None, Allocation]],
     nodes: list[int] | None,
-    texts: Callable,
 ) -> str:
     """The records or csv text of ``(mechanism, allocation)`` pairs, a line
     per node of each allocation; a mechanism of None leaves its field out."""
@@ -375,7 +358,7 @@ def _entries(
         ("mechanism," if results[0][0] else "") + "node,exact,display"
     ]
     for kind, allocation in results:
-        rows = allocation.rows(nodes, texts)
+        rows = allocation.rows(nodes)
         if records:
             # json.dumps layout, written directly: no field needs escaping.
             head = f'{{"mechanism": "{kind}", ' if kind else "{"
@@ -392,14 +375,11 @@ def _entries(
     return "\n".join(lines)
 
 
-@_any_length
 def render_report(
     report: RewardReport,
     output_format: str = "table",
     exact: bool = False,
     labels: dict[int, str] | None = None,
-    *,
-    texts: Callable,
 ) -> str:
     """Render a mechanism comparison in the chosen format.
 
@@ -412,14 +392,14 @@ def render_report(
     )
     if output_format != "table":
         results = [(spec.kind, allocation) for spec, allocation in report.results]
-        return _entries(output_format, results, nodes, texts)
+        return _entries(output_format, results, nodes)
 
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
     grid = [("mechanism", headers)]
     grid.extend(
-        (spec.kind, [value if exact else str(display)
-                     for _, value, display in allocation.rows(nodes, texts)])
+        (spec.kind, [value if exact else display
+                     for _, value, display in allocation.rows(nodes)])
         for spec, allocation in report.results
     )
     name_width = max(len(name) for name, _ in grid)
@@ -434,18 +414,13 @@ def render_report(
     return "\n".join(lines + [summary]) + "\n"
 
 
-@_any_length
 def render_allocation(
-    allocation: Allocation,
-    output_format: str = "table",
-    exact: bool = False,
-    *,
-    texts: Callable,
+    allocation: Allocation, output_format: str = "table", exact: bool = False
 ) -> str:
     """Render a single allocation (used for stream finals)."""
     if output_format != "table":
-        return _entries(output_format, [(None, allocation)], None, texts)
+        return _entries(output_format, [(None, allocation)], None)
     return "".join(
         f"{node}\t{value if exact else display}\n"
-        for node, value, display in allocation.rows(None, texts)
+        for node, value, display in allocation.rows()
     )

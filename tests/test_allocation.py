@@ -171,7 +171,8 @@ def _checked(allocation: Allocation) -> dict[int, Fraction]:
     for node, exact, display in allocation.rows():
         value = allocation[node]
         assert exact == str(value)
-        assert display == round_half_away_from_zero(value) == reference_round(value)
+        assert display == str(round_half_away_from_zero(value))
+        assert round_half_away_from_zero(value) == reference_round(value)
     csv = render_allocation(allocation, "csv").splitlines()[1:]
     assert csv == [f"{node},{v},{round_half_away_from_zero(v)}"
                    for node, v in allocation.items()]

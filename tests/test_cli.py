@@ -650,7 +650,8 @@ def test_too_long_json_integer_exits_1_naming_the_file(kind, tmp_path, capsys):
     else:
         path.write_text(f'{{"limit_core": {digits}}}')
         args = ["verify", _golden_input("verify"), "--config", str(path)]
-    code, out, err = run(capsys, *args)
+    with _int_digit_limit(4300):
+        code, out, err = run(capsys, *args)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {kind} file holds an integer of more than ")
@@ -855,21 +856,28 @@ def test_any_config_exits_0_or_1(config, tmp_path_factory):
 # -- numbers longer than str() writes ------------------------------------------------
 
 @contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift the int-to-str digit limit for this block only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def _int_digit_limit(limit: int):
+    """Set the int-to-str digit limit (0 lifts it) for this block only; on
+    Pythons without the limit (before 3.10.7) ``str`` writes every int."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(saved)
 
 
-def _long_number_reference(argv: list[str]) -> tuple[int, str, str]:
-    """The run with the limit lifted, where plain ``str`` writes every
-    number: what the chunked writer must reproduce under the limit."""
-    with _unlimited_int_digits():
-        return _main_output(argv)
+def _long_number_runs(argv: list[str]) -> tuple[tuple, tuple]:
+    """The run under the default limit of 4300 digits, and the reference
+    run with the limit lifted, where plain ``str`` writes every number:
+    what the chunked writer must reproduce under the limit."""
+    with _int_digit_limit(4300):
+        result = _main_output(argv)
+    with _int_digit_limit(0):
+        return result, _main_output(argv)
 
 
 @pytest.fixture(scope="module")
@@ -899,11 +907,10 @@ def test_numbers_longer_than_str_allows_print_in_full(argv, prints_long, chain60
     source = argv[1]
     path = chain60 if source == "chain60" else str(GOLDEN / source)
     argv = [argv[0], path, *argv[2:]]
-    assert sys.get_int_max_str_digits() == 4300
-    code, out, err = _main_output(argv)
+    (code, out, err), reference = _long_number_runs(argv)
     assert (code, err) == (0, "")
     assert (max(map(len, out.split())) > 4300) == prints_long
-    assert (code, out, err) == _long_number_reference(argv)
+    assert (code, out, err) == reference
     if argv[0] == "stream" and "--quiet" not in argv:
         assert sum(line.startswith("seq ") for line in out.splitlines()) == 8
 
@@ -933,9 +940,9 @@ def test_long_units_and_ratios_print_like_unlimited_str(command, unit, ratio, fl
     else:
         flags = [f for f in flags if f != "--no-normalize"]
     argv = [command, _golden_input(command), "--unit", unit, *flags]
-    result = _main_output(argv)
+    result, reference = _long_number_runs(argv)
     assert result[0] == 0, result[2]
-    assert result == _long_number_reference(argv)
+    assert result == reference
 
 
 # -- verify and count at scale ----------------------------------------------------

@@ -172,10 +172,15 @@ class Allocation:
         """``(node, exact, display)`` per node, lazily: the reduced "p/q"
         text and the text of the half-away-from-zero rounding. ``nodes``
         defaults to every node in ascending order; a node without an entry
-        reads 0."""
+        reads 0. Each distinct numerator's text is made once."""
         numerators, denominator = self.numerators, self.denominator
+        texts: dict[int, tuple[str, str]] = {}
         for node in sorted(numerators) if nodes is None else nodes:
-            yield node, *exact_and_display(numerators.get(node, 0), denominator)
+            numerator = numerators.get(node, 0)
+            text = texts.get(numerator)
+            if text is None:
+                text = texts[numerator] = exact_and_display(numerator, denominator)
+            yield node, *text
 
     def __add__(self, other: "Allocation") -> "Allocation":
         denominator = lcm(self.denominator, other.denominator)

@@ -87,9 +87,10 @@ def compute(treefile, strict, config_path, **flags) -> None:
     config = _build_config(config_path, **flags)
     document = parse_tree_file(read_text(treefile), strict)
     report = compare(document.tree, config.mechanism_specs())
+    labels = document.labels
+    del document  # the tree is not needed while rendering
     click.echo(
-        render_report(report, config.output_format, config.exact, document.labels),
-        nl=False,
+        render_report(report, config.output_format, config.exact, labels), nl=False
     )
 
 
@@ -145,7 +146,10 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
         # Also when an event fails, so that the deltas before it come out.
         if pending:
             write_pending()
-    final = state.allocation.scaled(unit_value)
+    snapshot = state.allocation  # each input is dropped once used: less peak memory
+    del state
+    final = snapshot.scaled(unit_value)
+    del snapshot
     click.echo(render_allocation(final, config.output_format, config.exact), nl=False)
 
 

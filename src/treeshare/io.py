@@ -14,10 +14,14 @@ streamed without bound; blank lines and ``#`` comments are ignored.
 from __future__ import annotations
 
 import json
+import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
+from itertools import count, islice
+from operator import lt
 from typing import NamedTuple
 
 from .allocation import Allocation
@@ -40,11 +44,26 @@ class InputFormatError(ValueError):
     """A document or stream that does not match its expected format."""
 
 
+# What ``Fraction(str)`` reads: "p/q", or a decimal with an optional exponent.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)"
+    r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:e[-+]?\d+(?:_\d+)*)?)\s*",
+    re.IGNORECASE,
+)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a finite decimal string into an exact rational."""
+    """Parse "p/q" or a finite decimal string into an exact rational: what
+    ``Fraction(str)`` reads, through ``Decimal``, which has no digit limit."""
+    literal = str(text)
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        if not _RATIONAL.fullmatch(literal):
+            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+        numerator, slash, denominator = literal.partition("/")
+        if slash:
+            return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+        return Fraction(Decimal(literal))
+    except (ArithmeticError, ValueError) as exc:
         raise InputFormatError(f"not a rational number: {text!r} ({exc})") from None
 
 
@@ -146,17 +165,62 @@ class JoinEvent(NamedTuple):
     parent: int
 
 
+_BLOCK_LINES = 1024  # lines read and checked at a time
+# Plain ``seq node parent`` lines; ``\d`` would also match non-ASCII digits.
+_PLAIN_BLOCK = re.compile(r"(?:-?[0-9]+ -?[0-9]+ -?[0-9]+\n)*")
+
+
 def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
     """Stream ``seq node parent`` records, validating as they arrive.
 
     Each field is an optional ``-`` followed by ASCII digits: ``int`` alone
     would also read ``+1``, ``1_0`` and non-ASCII digits. Sequence numbers
     must be strictly increasing; errors carry the line number. Parsing is
-    incremental, so a consumer can apply events while the log is still being
-    read.
+    incremental, in blocks of ``_BLOCK_LINES`` lines: a block of plain lines
+    is converted whole, any other block line by line. The events, messages,
+    and events yielded before a bad line or a read error are the same.
     """
+    lines = iter(lines)
     last_seq: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for start in count(1, _BLOCK_LINES):
+        block, error = [], None
+        try:
+            block.extend(islice(lines, _BLOCK_LINES))  # keeps what it read
+        except Exception as exc:  # such as a UnicodeDecodeError
+            error = exc
+        fields = _plain_fields(block, last_seq)
+        if fields is None:
+            last_seq = yield from _parse_lines(block, start, last_seq)
+        else:
+            last_seq = fields[-3]
+            yield from map(JoinEvent._make, zip(*[iter(fields)] * 3))
+        if error is not None:
+            raise error
+        if len(block) < _BLOCK_LINES:
+            return
+
+
+def _plain_fields(block: list[str], last_seq: int | None) -> list[int] | None:
+    """The fields of a block of plain lines, one per item, whose sequence
+    numbers increase past ``last_seq``; None for any other block."""
+    text = "".join(block)
+    if (not _PLAIN_BLOCK.fullmatch(text if text.endswith("\n") else text + "\n")
+            or text.splitlines(True) != block):
+        return None
+    try:
+        fields = list(map(int, text.split()))
+    except ValueError:  # a field past the int-to-str digit limit
+        return None
+    seqs = fields[::3]
+    if last_seq is not None and seqs[0] <= last_seq or not all(map(lt, seqs, seqs[1:])):
+        return None
+    return fields
+
+
+def _parse_lines(lines: list[str], lineno: int, last_seq: int | None) -> Generator:
+    """Parse line by line from line number ``lineno``, after sequence number
+    ``last_seq``; returns the last sequence number."""
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -179,6 +243,7 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
             )
         last_seq = seq
         yield JoinEvent(seq, node, parent)
+    return last_seq
 
 
 def replay_events(

@@ -7,8 +7,10 @@ checked against something that does not share their code path.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -206,3 +208,18 @@ def shape_to_edges(shape) -> Edges:
 def all_tree_edge_lists(n: int) -> list[Edges]:
     """Edge lists for every rooted tree shape with ``n`` nodes."""
     return [shape_to_edges(shape) for shape in tree_shapes(n)]
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit: int):
+    """Set the int-to-str digit limit (0 lifts it) for this block only; on
+    Pythons without the limit (before 3.10.7) ``str`` writes every int."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -6,7 +6,6 @@ import contextlib
 import io
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from treeshare import IncrementalState
 from treeshare.allocation import round_half_away_from_zero
 from treeshare.cli import DELTA_CHUNK_LINES, main
 
-from conftest import random_tree_edges, shuffle_ids
+from conftest import _int_digit_limit, random_tree_edges, shuffle_ids
 
 EXAMPLE_DOC = json.dumps(
     {
@@ -203,18 +202,24 @@ def _log(edges) -> str:
     return "".join(f"{seq} {c} {p}\n" for seq, (c, p) in enumerate(edges, start=1))
 
 
-@pytest.mark.parametrize("k", [1, 2, DELTA_CHUNK_LINES, DELTA_CHUNK_LINES + 1,
-                               2 * DELTA_CHUNK_LINES + 7])
-def test_stream_failing_at_event_k_prints_k_minus_1_deltas(k, tmp_path, capsys):
+# Both the delta chunks and the parser's blocks are 1024 lines long.
+@pytest.mark.parametrize("k", [1, 2, 1023, 1024, 1025, 2049, 2 * DELTA_CHUNK_LINES + 7])
+@pytest.mark.parametrize("bad", ["parent", "field"])
+def test_stream_failing_at_event_k_prints_k_minus_1_deltas(k, bad, tmp_path, capsys):
     edges = random_tree_edges(random.Random(k), k)  # k - 1 valid joins
     path = tmp_path / "joins.log"
-    path.write_text(_log(edges) + f"{k} {k + 1} {k + 5}\n")
+    if bad == "parent":
+        line, message = f"{k} {k + 1} {k + 5}", f"event {k}: unknown parent {k + 5}"
+    else:
+        line = f"{k} {k + 1} x"
+        message = f"line {k}: fields must be integers, got {line!r}"
+    path.write_text(_log(edges) + line + "\n")
     code, out, err = run(capsys, "stream", str(path))
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == k - 1
     assert [line.split(":")[0] for line in lines] == [f"seq {s}" for s in range(1, k)]
-    assert err == f"error: event {k}: unknown parent {k + 5}\n"
+    assert err == f"error: {message}\n"
 
 
 def _reference_deltas(edges, unit: Fraction, exact: bool) -> list[str]:
@@ -618,6 +623,24 @@ def test_event_log_that_stops_being_utf8_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_event_log_lines_read_before_a_decode_error_are_applied(tmp_path, capsys):
+    # The bad byte sits past line 3000, so the text file stops inside the
+    # third 1024-line block: every line it delivered is still replayed.
+    lines = "".join(f"{k} {k + 1} 1\n" for k in range(1, 3001))
+    path = tmp_path / "joins.log"
+    path.write_bytes(lines.encode("ascii") + b"3001 \xff 1\n")
+    delivered = 0
+    with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
+        for _ in handle:
+            delivered += 1
+    assert 2048 < delivered <= 3000
+    code, out, err = run(capsys, "stream", str(path))
+    assert code == 1
+    assert len(out.splitlines()) == delivered
+    assert all(line.startswith("seq ") for line in out.splitlines())
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("labels", ['[1]', '"x"', '{"2": {"a": [1]}}', '{"2": 5}'])
 def test_malformed_labels_exit_1(labels, tmp_path, capsys):
     path = tmp_path / "labels.json"
@@ -855,21 +878,6 @@ def test_any_config_exits_0_or_1(config, tmp_path_factory):
 
 # -- numbers longer than str() writes ------------------------------------------------
 
-@contextlib.contextmanager
-def _int_digit_limit(limit: int):
-    """Set the int-to-str digit limit (0 lifts it) for this block only; on
-    Pythons without the limit (before 3.10.7) ``str`` writes every int."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def _long_number_runs(argv: list[str]) -> tuple[tuple, tuple]:
     """The run under the default limit of 4300 digits, and the reference
     run with the limit lifted, where plain ``str`` writes every number:
@@ -915,6 +923,17 @@ def test_numbers_longer_than_str_allows_print_in_full(argv, prints_long, chain60
         assert sum(line.startswith("seq ") for line in out.splitlines()) == 8
 
 
+@pytest.mark.parametrize("command", ["compute", "stream"])
+def test_unit_literal_longer_than_the_digit_limit_is_read(command):
+    # "1" and 4300 zeros: one digit past what Fraction(str) reads at 4300.
+    argv = [command, _golden_input(command), "--format", "csv"]
+    with _int_digit_limit(4300):
+        long_literal = _main_output(argv + ["--unit", "1" + "0" * 4300])
+        exponent = _main_output(argv + ["--unit", "1e4300"])
+    assert long_literal == exponent
+    assert long_literal[0] == 0
+
+
 # Short and long exponents alike: str() writes at most 4300 digits.
 LONG_UNITS = st.builds(
     "{}{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 10**30),
@@ -951,10 +970,9 @@ SCALE_NODES = 20_000
 
 
 def _int_from_text(text: str) -> int:
-    """Parse a decimal of any length: ``int`` refuses more than 4300 digits
-    in one go, so longer text is read 600 digits at a time."""
-    if len(text) <= 4000:
-        return int(text)
+    """Parse a decimal of any length: ``int`` refuses more digits in one go
+    than the digit limit, which may be as low as 640, so the text is read
+    600 digits at a time."""
     value = 0
     for start in range(0, len(text), 600):
         chunk = text[start:start + 600]

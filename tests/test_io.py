@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeshare import (
     EqualShares,
@@ -26,7 +28,7 @@ from treeshare import (
 from treeshare.io import RunConfig, parse_rational, render_report
 from treeshare.io import config_from_mapping, load_config, read_text, render_allocation
 
-from conftest import EXAMPLE_EDGES, random_tree_edges, shuffle_ids
+from conftest import EXAMPLE_EDGES, _int_digit_limit, random_tree_edges, shuffle_ids
 
 EXAMPLE_DOC = json.dumps(
     {
@@ -129,16 +131,18 @@ def test_negative_label_key_is_an_unknown_node():
 
 def test_too_long_integer_in_a_tree_file_names_the_file():
     doc = '{"root": 1' + "0" * 5000 + ', "edges": []}'
-    with pytest.raises(InputFormatError,
-                       match=r"^tree file holds an integer of more than \d+ digits$"):
+    with _int_digit_limit(4300), pytest.raises(
+        InputFormatError, match=r"^tree file holds an integer of more than \d+ digits$"
+    ):
         parse_tree_file(doc)
 
 
 def test_too_long_integer_in_a_config_file_names_the_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text('{"limit_core": 1' + "0" * 5000 + "}")
-    with pytest.raises(InputFormatError,
-                       match=r"^config file holds an integer of more than \d+ digits$"):
+    with _int_digit_limit(4300), pytest.raises(
+        InputFormatError, match=r"^config file holds an integer of more than \d+ digits$"
+    ):
         load_config(str(path))
 
 
@@ -230,6 +234,106 @@ def test_parse_event_log_empty():
     assert list(parse_event_log([])) == []
 
 
+def _events_line_by_line(lines) -> tuple[list, str | None]:
+    """The documented rules applied one line at a time: the events before
+    the first bad line, and that line's message (None if there is none)."""
+    events: list = []
+    last_seq = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            return events, f"line {lineno}: expected 'seq node parent', got {line!r}"
+        try:
+            if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+                raise ValueError
+            seq, node, parent = map(int, parts)
+        except ValueError:  # also a field past the int-to-str digit limit
+            return events, f"line {lineno}: fields must be integers, got {line!r}"
+        if last_seq is not None and seq <= last_seq:
+            return events, f"line {lineno}: sequence {seq} does not increase past {last_seq}"
+        last_seq = seq
+        events.append(JoinEvent(seq, node, parent))
+    return events, None
+
+
+def _parsed(lines) -> tuple[list, str | None]:
+    events: list = []
+    try:
+        events.extend(parse_event_log(lines))
+    except InputFormatError as exc:
+        return events, str(exc)
+    return events, None
+
+
+# What the plain line of sequence number ``seq`` can be changed into: each
+# change either breaks it or sends its block off the plain-block route.
+LINE_EDITS = {
+    "comment": lambda line, seq: "# a comment\n",
+    "blank": lambda line, seq: " \n",
+    "crlf": lambda line, seq: line[:-1] + "\r\n",
+    "tab": lambda line, seq: line.replace(" ", "\t", 1),
+    "plus": lambda line, seq: "+" + line,
+    "underscore": lambda line, seq: line.replace(" ", "_0 ", 1),
+    "non-ascii digit": lambda line, seq: line.replace(" ", " \u0663", 1),
+    "4301 digits": lambda line, seq: f"{seq} 1{'0' * 4300} 1\n",
+    "two fields": lambda line, seq: line.partition(" ")[2],
+    "seq repeated": lambda line, seq: f"{seq - 1} {line.partition(' ')[2]}",
+    "no newline": lambda line, seq: line[:-1],
+}
+# The lines around the edges of 1024-line blocks.
+EDGE_LINES = [0, 1, 1022, 1023, 1024, 1025, 2047, 2048, 2049]
+
+
+def _plain_line(seq: int) -> str:
+    return f"{seq} {seq + 1} {seq // 2 + 1}\n"
+
+
+@st.composite
+def event_logs(draw) -> list[str]:
+    """A list of log lines: plain ones, then a few edited at chosen places
+    (often at a block edge), with the final newline sometimes missing."""
+    n = draw(st.sampled_from([0, 1, 5, 1023, 1024, 1025, 2048, 2049, 2050])
+             | st.integers(0, 2100))
+    lines = [_plain_line(seq) for seq in range(1, n + 1)]
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            at = min(draw(st.sampled_from(EDGE_LINES) | st.integers(0, n - 1)), n - 1)
+            edit = LINE_EDITS[draw(st.sampled_from(sorted(LINE_EDITS)))]
+            lines[at] = edit(_plain_line(at + 1), at + 1)
+        if draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+def _with_seq_repeated(n: int, at: int) -> list[str]:
+    lines = [_plain_line(seq) for seq in range(1, n + 1)]
+    lines[at] = LINE_EDITS["seq repeated"](lines[at], at + 1)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_logs())
+@example(_with_seq_repeated(1100, 1024))  # the first line of a block
+@example(_with_seq_repeated(1100, 1023))  # the last line of a block
+def test_parse_event_log_matches_a_line_by_line_parse(lines):
+    with _int_digit_limit(4300):
+        events, message = _parsed(lines)
+        assert (events, message) == _events_line_by_line(lines)
+    assert all(type(event) is JoinEvent for event in events)
+
+
+@pytest.mark.parametrize("lines", [
+    ["1 2 1", "2 3 1"],                # list items without newlines
+    ["1 2", " 1\n2 3 1\n"],            # a line split across two items
+    ["1 2 1\n2 3 1\n"],               # two lines in one item
+], ids=["no-newlines", "split", "joined"])
+def test_parse_event_log_reads_list_items_as_lines(lines):
+    assert _parsed(lines) == _events_line_by_line(lines)
+
+
 def test_replay_events_matches_batch():
     events = [JoinEvent(i + 1, child, parent) for i, (child, parent) in enumerate(EXAMPLE_EDGES)]
     seen = []
@@ -292,6 +396,46 @@ def test_parse_rational_forms():
         parse_rational("one half")
     with pytest.raises(InputFormatError):
         parse_rational("1/0")
+
+
+DIGITS = st.sampled_from("0123456789") | st.sampled_from("\uff11\u0663\u0967")
+SHORT_DIGITS = st.text(DIGITS, max_size=3)
+# Digit runs of any length, "_" between digits or misplaced.
+DIGIT_RUNS = (
+    SHORT_DIGITS
+    | st.builds(str.__mul__, DIGITS, st.integers(4290, 4310))
+    | st.builds("{}_{}".format, SHORT_DIGITS, SHORT_DIGITS)
+)
+# Exponents stay short: Fraction would write out 10**exponent.
+EXPONENTS = st.builds("{}{}{}".format, st.sampled_from("eE"),
+                      st.sampled_from(["", "-", "+"]), SHORT_DIGITS)
+# Text near the grammar of Fraction's literals.
+RATIONAL_LITERALS = st.builds(
+    "{0}{1}{2}{3}{0}".format,
+    st.sampled_from(["", " ", "\t", "\u3000"]),
+    st.sampled_from(["", "-", "+"]),
+    DIGIT_RUNS,
+    st.builds("/{}".format, DIGIT_RUNS)
+    | st.builds(".{}{}".format, DIGIT_RUNS, st.just("") | EXPONENTS)
+    | EXPONENTS
+    | st.sampled_from(["", "/-2", " / 2", "/0", "d", ".d", "inf", "nan"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONAL_LITERALS)
+def test_parse_rational_reads_what_fraction_reads_at_any_length(text):
+    with _int_digit_limit(0):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+    with _int_digit_limit(4300):
+        try:
+            value = parse_rational(text)
+        except InputFormatError:
+            value = None
+    assert value == expected
 
 
 def test_config_defaults_and_overrides():

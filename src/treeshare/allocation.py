@@ -94,9 +94,10 @@ class Allocation:
     mapping or as ``(node, numerator)`` pairs, over a positive integer
     denominator. ``Allocation(rewards)`` takes a mapping of exact rationals
     and brings them to the lcm of their denominators. Either way the input
-    is copied. Treat instances as immutable: ``rewards`` and ``total`` are
-    built on first use and cached. For Shapley allocations the total equals
-    the grand-coalition value.
+    is copied; ``Allocation.owning`` takes a fresh dict as it is. Treat
+    instances as immutable: ``rewards`` and ``total`` are built on first use
+    and cached. For Shapley allocations the total equals the grand-coalition
+    value.
     """
 
     def __init__(
@@ -116,6 +117,16 @@ class Allocation:
             numerators = dict(values)
         self.numerators = numerators
         self.denominator = denominator
+
+    @classmethod
+    def owning(cls, numerators: dict[int, int], denominator: int) -> "Allocation":
+        """An allocation that takes ``numerators`` as it is, without the
+        constructor's copy or checks, for a caller handing over a fresh dict
+        of int numerators and a positive int denominator."""
+        allocation = object.__new__(cls)
+        allocation.numerators = numerators
+        allocation.denominator = denominator
+        return allocation
 
     def __repr__(self) -> str:
         return f"Allocation({self.numerators!r}, {self.denominator!r})"
@@ -181,6 +192,17 @@ class Allocation:
             if text is None:
                 text = texts[numerator] = exact_and_display(numerator, denominator)
             yield node, *text
+
+    def split(self, size: int) -> Iterator["Allocation"]:
+        """The allocation in pieces of at most ``size`` nodes, in ascending
+        node order, over the same denominator."""
+        numerators, denominator = self.numerators, self.denominator
+        nodes = sorted(numerators)
+        for start in range(0, len(nodes), size):
+            yield Allocation.owning(
+                {node: numerators[node] for node in nodes[start:start + size]},
+                denominator,
+            )
 
     def __add__(self, other: "Allocation") -> "Allocation":
         denominator = lcm(self.denominator, other.denominator)

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on input errors, 2 on verification failure.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
@@ -28,6 +29,10 @@ from .mechanisms import compare
 
 # Verbose ``stream`` writes its delta lines in chunks of at most this many.
 DELTA_CHUNK_LINES = 1024
+# ``compute`` and ``stream`` write csv and records rows in chunks of at most
+# this many. Whole texts run to megabytes for large trees, and where the
+# allocator placed them moved peak memory by megabytes from run to run.
+CHUNK_ROWS = 4096
 
 
 class VerificationFailure(Exception):
@@ -89,9 +94,16 @@ def compute(treefile, strict, config_path, **flags) -> None:
     report = compare(document.tree, config.mechanism_specs())
     labels = document.labels
     del document  # the tree is not needed while rendering
-    click.echo(
-        render_report(report, config.output_format, config.exact, labels), nl=False
-    )
+    if config.output_format == "table":  # one grid: its widths need every node
+        click.echo(render_report(report, "table", config.exact, labels), nl=False)
+        return
+    nodes, header = report.nodes(), True
+    for result in report.results:  # one mechanism and a chunk of nodes at a time
+        part = replace(report, results=(result,))
+        for start in range(0, len(nodes), CHUNK_ROWS):
+            click.echo(render_report(part, config.output_format, config.exact, labels,
+                                     nodes[start:start + CHUNK_ROWS], header), nl=False)
+            header = False
 
 
 @cli.command()
@@ -146,11 +158,13 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
         # Also when an event fails, so that the deltas before it come out.
         if pending:
             write_pending()
-    snapshot = state.allocation  # each input is dropped once used: less peak memory
-    del state
-    final = snapshot.scaled(unit_value)
-    del snapshot
-    click.echo(render_allocation(final, config.output_format, config.exact), nl=False)
+    snapshot = state.allocation
+    del state  # not needed while rendering: less peak memory
+    # Scaled a chunk at a time too, so that the scaled allocation is never
+    # held whole.
+    for k, part in enumerate(snapshot.split(CHUNK_ROWS)):
+        click.echo(render_allocation(part.scaled(unit_value), config.output_format,
+                                     config.exact, header=not k), nl=False)
 
 
 @cli.command()

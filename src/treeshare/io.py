@@ -415,11 +415,12 @@ def _entries(
     output_format: str,
     results: list[tuple[str | None, Allocation]],
     nodes: list[int] | None,
+    header: bool = True,
 ) -> str:
     """The records or csv text of ``(mechanism, allocation)`` pairs, a line
     per node of each allocation; a mechanism of None leaves its field out."""
     records = output_format == "records"
-    lines = [] if records else [
+    lines = [] if records or not header else [
         ("mechanism," if results[0][0] else "") + "node,exact,display"
     ]
     for kind, allocation in results:
@@ -445,19 +446,23 @@ def render_report(
     output_format: str = "table",
     exact: bool = False,
     labels: dict[int, str] | None = None,
+    nodes: list[int] | None = None,
+    header: bool = True,
 ) -> str:
     """Render a mechanism comparison in the chosen format.
 
     The table is the human grid (mechanisms by nodes); records are one JSON
     object per allocation entry; csv is the same entries comma-separated.
     Display values are exact rationals rounded half-away-from-zero.
+    ``nodes`` picks the nodes shown, in order, and defaults to
+    ``report.nodes()``; ``header=False`` leaves out the csv header, for a
+    piece after the first.
     """
-    nodes = sorted(
-        {node for allocation in report.allocations() for node in allocation.numerators}
-    )
+    if nodes is None:
+        nodes = report.nodes()
     if output_format != "table":
         results = [(spec.kind, allocation) for spec, allocation in report.results]
-        return _entries(output_format, results, nodes)
+        return _entries(output_format, results, nodes, header)
 
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
@@ -480,11 +485,15 @@ def render_report(
 
 
 def render_allocation(
-    allocation: Allocation, output_format: str = "table", exact: bool = False
+    allocation: Allocation,
+    output_format: str = "table",
+    exact: bool = False,
+    header: bool = True,
 ) -> str:
-    """Render a single allocation (used for stream finals)."""
+    """Render a single allocation (used for stream finals); ``header=False``
+    leaves out the csv header, for a piece after the first."""
     if output_format != "table":
-        return _entries(output_format, [(None, allocation)], None)
+        return _entries(output_format, [(None, allocation)], None, header)
     return "".join(
         f"{node}\t{value if exact else display}\n"
         for node, value, display in allocation.rows()

@@ -179,6 +179,12 @@ class RewardReport:
     def allocations(self) -> list[Allocation]:
         return [allocation for _, allocation in self.results]
 
+    def nodes(self) -> list[int]:
+        """Every node of any allocation, in ascending order."""
+        return sorted(
+            {node for allocation in self.allocations() for node in allocation.numerators}
+        )
+
 
 def compare(tree: RootedTree, specs: list[MechanismSpec]) -> RewardReport:
     """Evaluate every mechanism on the same tree, in the order given."""

@@ -263,13 +263,9 @@ class IncrementalState:
         while cur is not None:
             delta[cur] = 1
             cur = parents[cur]
-        # One delta per event: hand over the fresh dict without the
-        # constructor's defensive copy, which would cost a few percent of
-        # a join.
-        result = object.__new__(Allocation)
-        result.numerators = delta
-        result.denominator = depth + 1
-        return result
+        # One delta per event: the constructor's defensive copy would cost a
+        # few percent of a join.
+        return Allocation.owning(delta, depth + 1)
 
     @property
     def allocation(self) -> Allocation:
@@ -280,16 +276,22 @@ class IncrementalState:
         total into its parent, children first because joins arrive
         parent-before-child.
         """
-        parents = self._parents
+        parents, depths = self._parents, self._depths
         common, share = _depth_shares(self._height)
-        numerators = {node: share[depth] for node, depth in self._depths.items()}
-        for node in reversed(numerators):
-            parent = parents[node]
+        # The memory this takes sets the peak of ``stream``. A copy makes the
+        # table once, at its final size, and the result is not copied again.
+        numerators = depths.copy()
+        for node, depth in depths.items():
+            numerators[node] = share[depth]
+        for node, parent in reversed(parents.items()):
             if parent is not None:
-                numerators[parent] += numerators[node]
+                # ``+`` leaves a spare digit in a sum of multi-digit ints, and
+                # whether the shares have more than one digit depends on the
+                # height; ``sum`` makes each int only as large as its value.
+                numerators[parent] = sum((numerators[parent], numerators[node]))
         if self.root_adjust:
             numerators[self.root] -= common
-        return Allocation(numerators, common)
+        return Allocation.owning(numerators, common)
 
     def to_tree(self) -> RootedTree:
         """Materialise the current tree."""

@@ -94,6 +94,26 @@ def test_allocation_copies_input():
     assert 2 not in allocation
 
 
+def test_owning_takes_its_dict_without_a_copy():
+    numerators = {2: 1, 1: 3}
+    allocation = Allocation.owning(numerators, 4)
+    assert allocation.numerators is numerators
+    assert allocation == Allocation({1: Fraction(3, 4), 2: Fraction(1, 4)})
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_split_pieces_cover_the_nodes_in_ascending_order(size):
+    numerators = {node: node * node - 10 for node in [5, 1, 4, 2, 6, 3]}
+    allocation = Allocation(numerators, 6)
+    pieces = list(allocation.split(size))
+    assert [len(piece) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
+    assert 0 < len(pieces[-1]) <= size
+    assert [node for piece in pieces for node in piece.numerators] == [1, 2, 3, 4, 5, 6]
+    assert all(piece.denominator == 6 for piece in pieces)
+    assert {node: value for piece in pieces for node, value in piece.numerators.items()} \
+        == numerators
+
+
 # -- the integer core against a Fraction reference ----------------------------
 
 def _parent_map(edges):

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 
 from treeshare import IncrementalState
 from treeshare.allocation import round_half_away_from_zero
-from treeshare.cli import DELTA_CHUNK_LINES, main
+from treeshare.cli import CHUNK_ROWS, DELTA_CHUNK_LINES, main
+from treeshare.io import (
+    RunConfig,
+    parse_event_log,
+    parse_tree_file,
+    render_allocation,
+    render_report,
+    replay_events,
+)
+from treeshare.mechanisms import compare
 
 from conftest import _int_digit_limit, random_tree_edges, shuffle_ids
 
@@ -270,6 +279,65 @@ def test_stream_writes_deltas_in_bounded_chunks(tmp_path):
     chunks = [text.count("\n") for text in writes
               if isinstance(text, str) and text.startswith("seq ")]
     assert chunks == [DELTA_CHUNK_LINES] * 3 + [5]
+
+
+@pytest.mark.parametrize("output_format", ["table", "csv", "records"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_stream_final_in_bounded_chunks_matches_a_whole_render(
+    output_format, exact, tmp_path
+):
+    nodes = 2 * CHUNK_ROWS + 5
+    path = tmp_path / "joins.log"
+    text = _log(random_tree_edges(random.Random(4), nodes))
+    path.write_text(text)
+    flags = ["--format", output_format, "--unit", "7/3"] + (["--exact"] if exact else [])
+    writes: list[str] = []
+
+    class Recorder(io.StringIO):
+        def write(self, text: str) -> int:
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Recorder()) as out:
+        assert main(["stream", "--quiet", str(path), *flags]) == 0
+    whole = replay_events(parse_event_log(text.splitlines(True)), 1,
+                          root_adjust=RunConfig().root_adjust).allocation
+    assert out.getvalue() == render_allocation(
+        whole.scaled(Fraction(7, 3)), output_format, exact
+    )
+    header = int(output_format == "csv")
+    # click probes the stream with bytes and empty writes, which are not output.
+    chunks = [text.count("\n") for text in writes if isinstance(text, str) and text]
+    assert chunks == [CHUNK_ROWS + header, CHUNK_ROWS, 5]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "records"])
+def test_compute_writes_rows_in_bounded_chunks_matching_a_whole_render(
+    output_format, tmp_path
+):
+    nodes = CHUNK_ROWS + 5
+    edges = [{"child": c, "parent": p}
+             for c, p in random_tree_edges(random.Random(6), nodes)]
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"root": 1, "edges": edges}))
+    flags = ["--format", output_format, "--unit", "7/3", "--exact"]
+    writes: list[str] = []
+
+    class Recorder(io.StringIO):
+        def write(self, text: str) -> int:
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Recorder()) as out:
+        assert main(["compute", str(path), *flags]) == 0
+    config = RunConfig(unit=Fraction(7, 3), output_format=output_format, exact=True)
+    tree = parse_tree_file(path.read_text()).tree
+    assert out.getvalue() == render_report(
+        compare(tree, config.mechanism_specs()), output_format, exact=True
+    )
+    header = int(output_format == "csv")
+    chunks = [text.count("\n") for text in writes if isinstance(text, str) and text]
+    assert chunks == [CHUNK_ROWS + header, 5, CHUNK_ROWS, 5, CHUNK_ROWS, 5]
 
 
 def test_stream_quiet_builds_no_deltas(monkeypatch, capsys):

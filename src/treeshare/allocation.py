@@ -10,8 +10,9 @@ in plain integer arithmetic; ``Fraction`` values are built only on request.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from numbers import Rational
 
@@ -53,28 +54,37 @@ def exact_and_display(numerator: int, denominator: int) -> tuple[str, str]:
     return exact, decimal_text(_rounded(numerator, denominator))
 
 
-_CHUNK_DIGITS = 600  # below the smallest digit limit Python allows (640)
-_CHUNK = 10**_CHUNK_DIGITS
-
-
 def decimal_text(value: int) -> str:
     """``str(value)`` for an int of any length.
 
     ``str`` refuses ints longer than ``sys.get_int_max_str_digits()`` digits
     (4300 by default), and coalition counts on trees of 10^4 nodes are
-    longer; those are written out in fixed-width chunks of 600 digits.
+    longer. Those are split in halves at powers of two and put together in
+    ``Decimal``, whose multiplication is subquadratic, as CPython 3.12's
+    ``_pylong.int_to_decimal_string`` does.
     """
     try:
         return str(value)
     except ValueError:
         pass
-    magnitude = abs(value)
-    chunks = []
-    while magnitude >= _CHUNK:
-        magnitude, low = divmod(magnitude, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    chunks.append(str(magnitude))
-    return ("-" if value < 0 else "") + "".join(reversed(chunks))
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+    @cache
+    def power(bits: int) -> Decimal:  # 2**bits
+        if bits <= 128:
+            return ctx.power(2, bits)
+        return ctx.multiply(power(bits >> 1), power(bits - (bits >> 1)))
+
+    def convert(magnitude: int, bits: int) -> Decimal:
+        if bits <= 128:
+            return Decimal(magnitude)
+        half = bits >> 1
+        high = magnitude >> half
+        return ctx.add(convert(magnitude - (high << half), half),
+                       ctx.multiply(convert(high, bits - half), power(half)))
+
+    text = str(convert(abs(value), abs(value).bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def round_half_away_from_zero(value: Fraction) -> int:

@@ -20,11 +20,11 @@ from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import lt
 from typing import NamedTuple
 
-from .allocation import Allocation
+from .allocation import Allocation, exact_and_display
 from .mechanisms import (
     GEOMETRIC,
     MECHANISM_KINDS,
@@ -124,13 +124,13 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
             raise InputFormatError(
                 f"edge #{idx}: expected an object with 'child' and 'parent'"
             )
-        if strict:
+        if strict and len(entry) != 2:
             unknown = set(entry) - {"child", "parent"}
-            if unknown:
-                raise InputFormatError(f"edge #{idx}: unknown fields {sorted(unknown)}")
+            raise InputFormatError(f"edge #{idx}: unknown fields {sorted(unknown)}")
         edges.append((entry["child"], entry["parent"]))
-    tree = build_tree(edges, data["root"])
-    labels_field = data.get("labels")
+    root, labels_field = data["root"], data.get("labels")
+    del data, edges_field  # the decoded document, freed before the tree is built
+    tree = build_tree(edges, root)
     if labels_field is None:
         labels_field = {}
     elif not isinstance(labels_field, dict):
@@ -424,19 +424,20 @@ def _entries(
         ("mechanism," if results[0][0] else "") + "node,exact,display"
     ]
     for kind, allocation in results:
-        rows = allocation.rows(nodes)
+        numerators, denominator = allocation.numerators, allocation.denominator
+        shown = sorted(numerators) if nodes is None else nodes
+        values = list(map(numerators.get, shown, repeat(0)))
         if records:
             # json.dumps layout, written directly: no field needs escaping.
-            head = f'{{"mechanism": "{kind}", ' if kind else "{"
-            lines.extend(
-                f'{head}"node": {node}, "exact": "{value}", "display": {display}}}'
-                for node, value, display in rows
-            )
+            head = (f'{{"mechanism": "{kind}", ' if kind else "{") + '"node": '
+            tail = ', "exact": "{}", "display": {}}}'
         else:
             head = f"{kind}," if kind else ""
-            lines.extend(
-                f"{head}{node},{value},{display}" for node, value, display in rows
-            )
+            tail = ",{},{}"
+        # One text per distinct value of these rows, not of the allocation.
+        tails = {v: tail.format(*exact_and_display(v, denominator)) for v in set(values)}
+        lines.extend(f"{head}{node}{text}"
+                     for node, text in zip(shown, map(tails.__getitem__, values)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 

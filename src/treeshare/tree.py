@@ -9,6 +9,7 @@ other members, which is the part of a coalition that actually signed up.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import lt
 
 Coalition = frozenset[int]
 """A set of node ids, interpreted against a particular tree."""
@@ -55,8 +56,11 @@ class RootedTree:
         _check_id(root)
         parent_of: dict[int, int] = {}
         for child, parent in edges:
-            _check_id(child)
-            _check_id(parent)
+            # Plain positive ints pass inline; _check_id judges the rest.
+            if not (child.__class__ is int and child > 0):
+                _check_id(child)
+            if not (parent.__class__ is int and parent > 0):
+                _check_id(parent)
             if child in parent_of:
                 raise TreeError(f"duplicate parent for node {child}")
             if child == parent:
@@ -80,11 +84,15 @@ class RootedTree:
                     raise TreeError(f"root {root} has a parent")
                 cur = parent_of[cur]
 
-        # One upward walk per unvisited node computes depths, and doubles as
-        # cycle/reachability detection for components not touching the root.
+        # A node whose parent has a depth takes the next; any other walks up,
+        # which doubles as cycle/reachability detection off the root.
         depth: dict[int, int] = {root: 0}
         for start in nodes:
             if start in depth:
+                continue
+            base = depth.get(parent_of.get(start))
+            if base is not None:
+                depth[start] = base + 1
                 continue
             chain: list[int] = []
             on_chain: set[int] = set()
@@ -104,36 +112,34 @@ class RootedTree:
         # Canonical order: ascending ids when every edge points id-upward
         # (the common case for join-ordered referral data, and the order the
         # deterministic enumeration contract is stated in), otherwise by
-        # (depth, id). Both guarantee parents precede children.
-        if all(p < c for c, p in parent_of.items()):
-            order = sorted(nodes)
-        else:
-            order = sorted(nodes, key=lambda i: (depth[i], i))
+        # (depth, id). Both guarantee parents precede children, so the root
+        # has rank 0.
+        order = sorted_ids = tuple(sorted(nodes))
+        if not all(map(lt, parent_of.values(), parent_of)):
+            order = sorted(order, key=depth.__getitem__)  # stable: ids stay ascending
+        n = len(order)
+        rank = dict(zip(order, range(n)))
+        parents = [-1]
+        parents += map(rank.__getitem__, map(parent_of.__getitem__, order[1:]))
+        children: list[list[int]] = [[] for _ in range(n)]
+        for r in range(1, n):
+            children[parents[r]].append(r)
+        subheights = [0] * n
+        for r in range(n - 1, 0, -1):
+            pr = parents[r]
+            if subheights[pr] <= subheights[r]:
+                subheights[pr] = subheights[r] + 1
 
-        rank = {node: r for r, node in enumerate(order)}
-        parents = [-1] * len(order)
-        children: list[list[int]] = [[] for _ in order]
-        for r, node in enumerate(order):
-            if node != root:
-                pr = rank[parent_of[node]]
-                parents[r] = pr
-                children[pr].append(r)
-
-        subheights = [0] * len(order)
-        for r in range(len(order) - 1, -1, -1):
-            if children[r]:
-                subheights[r] = 1 + max(subheights[c] for c in children[r])
-
-        self.n = len(order)
+        self.n = n
         self.root = root
         self._ids = tuple(order)
         self._rank = rank
         self._parents = tuple(parents)
-        self._children = tuple(tuple(c) for c in children)
-        self._depths = tuple(depth[node] for node in order)
+        self._children = tuple(map(tuple, children))
+        self._depths = tuple(map(depth.__getitem__, order))
         self._subheights = tuple(subheights)
         self._height = max(self._depths)
-        self._sorted_ids = tuple(sorted(order))
+        self._sorted_ids = sorted_ids
         self._counts: tuple[int, ...] | None = None
 
     # -- basic queries -----------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_edges, shuffle_ids
+from conftest import _int_digit_limit, random_tree_edges, shuffle_ids
 from treeshare import (
     Allocation,
     EqualShares,
@@ -21,7 +21,7 @@ from treeshare import (
     build_tree,
     shapley_basic,
 )
-from treeshare.allocation import as_fraction, round_half_away_from_zero
+from treeshare.allocation import as_fraction, decimal_text, round_half_away_from_zero
 from treeshare.mechanisms import (
     allocate_geometric,
     allocate_refer_a_friend,
@@ -48,6 +48,29 @@ def test_rounding_is_nearest_with_ties_away(x: Fraction):
     assert abs(rounded - x) <= Fraction(1, 2)
     if abs(rounded - x) == Fraction(1, 2):  # a tie went away from zero
         assert abs(rounded) > abs(x)
+
+
+def _check_decimal_text(values: list[int]) -> None:
+    """``decimal_text`` under the smallest and the default digit limit, where
+    ``str`` refuses the longer values, against ``str`` with the limit lifted."""
+    with _int_digit_limit(0):
+        expected = list(map(str, values))
+    for limit in (640, 4300):
+        with _int_digit_limit(limit):
+            assert list(map(decimal_text, values)) == expected
+
+
+@pytest.mark.parametrize("digits", [1, 639, 640, 641, 4300, 4301, 10_000, 65_537])
+def test_decimal_text_at_powers_of_ten(digits):
+    nines = 10**digits - 1
+    _check_decimal_text([nines, nines + 1, -nines, -nines - 1, 10**(digits - 1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 100_000), st.integers(0, 10**6), st.booleans())
+def test_decimal_text_is_str_at_any_length(digits, seed, negative):
+    value = random.Random(seed).getrandbits(int(digits * 3.33) + 1)
+    _check_decimal_text([-value if negative else value, 2**(int(digits * 3.33))])
 
 
 def test_as_fraction_accepts_exact_forms():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshare import IncrementalState
-from treeshare.allocation import round_half_away_from_zero
+from treeshare import io as treeshare_io
+from treeshare.allocation import exact_and_display, round_half_away_from_zero
 from treeshare.cli import CHUNK_ROWS, DELTA_CHUNK_LINES, main
 from treeshare.io import (
     RunConfig,
@@ -338,6 +339,36 @@ def test_compute_writes_rows_in_bounded_chunks_matching_a_whole_render(
     header = int(output_format == "csv")
     chunks = [text.count("\n") for text in writes if isinstance(text, str) and text]
     assert chunks == [CHUNK_ROWS + header, 5, CHUNK_ROWS, 5, CHUNK_ROWS, 5]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "records"])
+def test_compute_makes_each_distinct_reward_text_once_per_chunk(
+    output_format, tmp_path, monkeypatch
+):
+    nodes = CHUNK_ROWS + 500
+    edges = random_tree_edges(random.Random(8), nodes, 6)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(
+        {"root": 1, "edges": [{"child": c, "parent": p} for c, p in edges]}
+    ))
+    made = []
+
+    def counting(numerator, denominator):
+        made.append(numerator)
+        return exact_and_display(numerator, denominator)
+
+    monkeypatch.setattr(treeshare_io, "exact_and_display", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compute", str(path), "--format", output_format]) == 0
+    report = compare(parse_tree_file(path.read_text()).tree,
+                     RunConfig().mechanism_specs())
+    ids = report.nodes()
+    chunks = [ids[k:k + CHUNK_ROWS] for k in range(0, len(ids), CHUNK_ROWS)]
+    per_chunk = [len({allocation.numerators[i] for i in chunk})
+                 for _, allocation in report.results for chunk in chunks]
+    whole = len(chunks) * sum(len(set(allocation.numerators.values()))
+                              for _, allocation in report.results)
+    assert len(made) <= sum(per_chunk) < whole
 
 
 def test_stream_quiet_builds_no_deltas(monkeypatch, capsys):
@@ -747,6 +778,37 @@ def test_too_long_json_integer_exits_1_naming_the_file(kind, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {kind} file holds an integer of more than ")
     assert "set_int_max_str_digits" not in err
+
+
+# Edge #2 of a valid three-edge document replaced, and what compute and verify
+# print for it under --strict and --no-strict; None marks a run that succeeds
+# with the output of the document as it was.
+EXPECTED_ENTRY = "error: edge #2: expected an object with 'child' and 'parent'\n"
+EDGE_ENTRY_CASES = {
+    "extra key": ({"child": 4, "parent": 3, "weight": 5},
+                  "error: edge #2: unknown fields ['weight']\n", None),
+    "extra keys": ({"child": 4, "parent": 3, "weight": 5, "color": "red"},
+                   "error: edge #2: unknown fields ['color', 'weight']\n", None),
+    "missing parent": ({"child": 4}, EXPECTED_ENTRY, EXPECTED_ENTRY),
+    "not an object": ([4, 3], EXPECTED_ENTRY, EXPECTED_ENTRY),
+    "two keys, wrong names": ({"child": 4, "kid": 3}, EXPECTED_ENTRY, EXPECTED_ENTRY),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_ENTRY_CASES)
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_bad_edge_entry_exits_1_naming_the_edge(case, command, strict, tmp_path, capsys):
+    entry, strict_error, loose_error = EDGE_ENTRY_CASES[case]
+    edges = [{"child": 2, "parent": 1}, {"child": 3, "parent": 1},
+             {"child": 4, "parent": 3}]
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"root": 1, "edges": edges}))
+    bad.write_text(json.dumps({"root": 1, "edges": edges[:2] + [entry]}))
+    flag = "--strict" if strict else "--no-strict"
+    error = strict_error if strict else loose_error
+    expected = (1, "", error) if error else run(capsys, command, str(good), flag)
+    assert run(capsys, command, str(bad), flag) == expected
 
 
 # -- arbitrary tree documents -----------------------------------------------------

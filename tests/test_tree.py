@@ -84,6 +84,126 @@ def test_equality_and_round_trip_of_edges(f9):
     assert build_tree([(2, 1)], 1) != f9
 
 
+def _slots_from_edges(edges, root):
+    """Every slot of the tree on these valid edges, recomputed by walking
+    each node's parent chain: depths, canonical order, ranks, children,
+    subtree heights, height and ascending ids."""
+    parent = dict(edges)
+    nodes = sorted({root} | set(parent) | set(parent.values()))
+
+    def chain_up(i):
+        path = [i]
+        while path[-1] != root:
+            path.append(parent[path[-1]])
+        return path
+
+    depth = {i: len(chain_up(i)) - 1 for i in nodes}
+    if all(p < c for c, p in edges):
+        order = nodes
+    else:
+        order = sorted(nodes, key=lambda i: (depth[i], i))
+    rank = {i: r for r, i in enumerate(order)}
+    below = {i: [j for j in nodes if i in chain_up(j)] for i in nodes}
+    return {
+        "n": len(nodes),
+        "root": root,
+        "_ids": tuple(order),
+        "_rank": rank,
+        "_parents": tuple(rank[parent[i]] if i != root else -1 for i in order),
+        "_children": tuple(tuple(sorted(rank[c] for c in nodes if parent.get(c) == i))
+                           for i in order),
+        "_depths": tuple(depth[i] for i in order),
+        "_subheights": tuple(max(depth[j] for j in below[i]) - depth[i] for i in order),
+        "_height": max(depth.values()),
+        "_sorted_ids": tuple(nodes),
+    }
+
+
+@st.composite
+def tree_edge_lists(draw, min_nodes=1):
+    """Edges and root of a random recursive tree, in a random edge order,
+    join-ordered or with shuffled ids."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    edges = random_tree_edges(rng, draw(st.integers(min_nodes, 14)),
+                              draw(st.sampled_from([None, 1, 3])))
+    root = 1
+    if draw(st.booleans()):
+        edges, root = shuffle_ids(rng, edges, 1)
+    rng.shuffle(edges)
+    return edges, root
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_edge_lists())
+def test_build_matches_a_recomputation_from_the_edges(case):
+    edges, root = case
+    tree = build_tree(edges, root)
+    expected = _slots_from_edges(edges, root)
+    assert {slot: getattr(tree, slot) for slot in expected} == expected
+    assert tree.node_ids == tree._sorted_ids
+    assert tree.height == tree._height
+
+
+DEFECTS = ["duplicate child", "self-loop", "cycle through the root",
+           "cycle away from the root", "unreachable node", "bad id"]
+
+
+def _above(parent, i):
+    """The nodes above ``i``, following ``parent`` until it ends or repeats."""
+    seen = []
+    while (i := parent.get(i)) is not None and i not in seen:
+        seen.append(i)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_edge_lists(min_nodes=2), st.sampled_from(DEFECTS), st.data())
+def test_build_rejects_a_defect_naming_a_node_that_has_it(case, defect, data):
+    edges, root = case
+    k = data.draw(st.integers(0, len(edges) - 1))
+    child, parent = edges[k]
+    fresh = max(max(edge) for edge in edges) + 1
+    if defect == "duplicate child":
+        edges.insert(data.draw(st.integers(k + 1, len(edges))), (child, fresh))
+    elif defect == "self-loop":
+        edges[k] = (child, child)
+    elif defect == "cycle through the root":
+        edges.append((root, child))
+    elif defect == "cycle away from the root":
+        below = [c for c, _ in edges if child in _above(dict(edges), c)]
+        if below:
+            edges[k] = (child, data.draw(st.sampled_from(below)))
+        else:
+            edges += [(fresh, fresh + 1), (fresh + 1, fresh)]
+    elif defect == "unreachable node":
+        edges.insert(k, (fresh, fresh + 1))
+    else:
+        bad = data.draw(st.sampled_from([True, 0, -1, "2"]))
+        edges[k] = data.draw(st.sampled_from([(bad, parent), (child, bad)]))
+        if data.draw(st.booleans()):
+            edges, root = [(child, parent)], bad
+    with pytest.raises(TreeError) as raised:
+        build_tree(edges, root)
+    message = str(raised.value)
+    if defect == "bad id":
+        assert message == f"node ids must be positive integers, got {bad!r}"
+        return
+    named = int(message.split()[-1] if "unreachable" not in message
+                else message.split()[1])
+    if defect == "duplicate child":
+        assert message == f"duplicate parent for node {named}"
+        assert sum(c == named for c, _ in edges) > 1
+    elif defect == "self-loop":
+        assert message == f"cycle detected at node {named}"
+        assert (named, named) in edges
+    elif defect == "unreachable node":
+        assert message == f"node {named} unreachable from root {root}"
+        assert named != root and named not in dict(edges)
+    else:
+        assert message == f"cycle detected involving node {named}"
+        assert named in _above(dict(edges), named)
+
+
 # -- navigation ------------------------------------------------------------
 
 def test_depths_on_fixture(f9):

@@ -187,22 +187,6 @@ class Allocation:
         """(node, reward) pairs in ascending node order."""
         return sorted(self.rewards.items())
 
-    def rows(
-        self, nodes: Iterable[int] | None = None
-    ) -> Iterator[tuple[int, str, str]]:
-        """``(node, exact, display)`` per node, lazily: the reduced "p/q"
-        text and the text of the half-away-from-zero rounding. ``nodes``
-        defaults to every node in ascending order; a node without an entry
-        reads 0. Each distinct numerator's text is made once."""
-        numerators, denominator = self.numerators, self.denominator
-        texts: dict[int, tuple[str, str]] = {}
-        for node in sorted(numerators) if nodes is None else nodes:
-            numerator = numerators.get(node, 0)
-            text = texts.get(numerator)
-            if text is None:
-                text = texts[numerator] = exact_and_display(numerator, denominator)
-            yield node, *text
-
     def split(self, size: int) -> Iterator["Allocation"]:
         """The allocation in pieces of at most ``size`` nodes, in ascending
         node order, over the same denominator."""

@@ -97,12 +97,12 @@ def compute(treefile, strict, config_path, **flags) -> None:
     if config.output_format == "table":  # one grid: its widths need every node
         click.echo(render_report(report, "table", config.exact, labels), nl=False)
         return
-    nodes, header = report.nodes(), True
-    for result in report.results:  # one mechanism and a chunk of nodes at a time
-        part = replace(report, results=(result,))
-        for start in range(0, len(nodes), CHUNK_ROWS):
-            click.echo(render_report(part, config.output_format, config.exact, labels,
-                                     nodes[start:start + CHUNK_ROWS], header), nl=False)
+    header = True
+    for spec, allocation in report.results:  # one mechanism and chunk at a time
+        for part in allocation.split(CHUNK_ROWS):
+            click.echo(render_report(replace(report, results=((spec, part),)),
+                                     config.output_format, config.exact, labels, header),
+                       nl=False)
             header = False
 
 
@@ -152,7 +152,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
                 parse_event_log(handle), root,
                 root_adjust=config.root_adjust, on_delta=None if quiet else emit,
             )
-    except UnicodeDecodeError as exc:  # raised as the lines are read
+    except (OSError, UnicodeDecodeError) as exc:  # raised as the lines are read
         raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
     finally:
         # Also when an event fails, so that the deltas before it come out.
@@ -170,11 +170,11 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
 @cli.command()
 @click.argument("treefile", type=click.Path())
 @click.option("--limit-bruteforce", type=int, default=None,
-              help="Largest n for the brute-force oracle (default 10, at most 20).")
+              help="Largest n for the brute-force oracle (default 10, 0 to 20).")
 @click.option("--limit-core", type=int, default=None,
-              help="Largest n for the exhaustive core check (default 16, at most 20).")
+              help="Largest n for the exhaustive core check (default 16, 0 to 20).")
 @click.option("--limit-convex", type=int, default=None,
-              help="Largest n for the convexity check (default 12, at most 20).")
+              help="Largest n for the convexity check (default 12, 0 to 20).")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--strict/--no-strict", default=True)
 def verify(treefile, config_path, strict, **flags) -> None:

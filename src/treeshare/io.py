@@ -356,11 +356,13 @@ LIMIT_CEILING = 20
 
 def _json_limit(value: object) -> int:
     """A check's size limit: an integral JSON number such as ``3`` or
-    ``3.0``, never a truncation, and at most ``LIMIT_CEILING``."""
+    ``3.0``, never a truncation, from 0 to ``LIMIT_CEILING``."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
         raise ValueError(f"expected an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"expected at least 0, got {value!r}")
     if value > LIMIT_CEILING:
         raise ValueError(f"expected at most {LIMIT_CEILING}, got {value!r}")
     return int(value)
@@ -411,22 +413,29 @@ def load_config(path: str) -> RunConfig:
 
 # -- rendering -----------------------------------------------------------
 
+def _texts(allocation: Allocation, nodes: list[int], template: str) -> list[str]:
+    """``template`` filled with the exact and display text of each node's
+    reward, in the order of ``nodes``; a node without an entry reads 0.
+    Each distinct numerator's text is made once."""
+    denominator = allocation.denominator
+    values = list(map(allocation.numerators.get, nodes, repeat(0)))
+    texts = {v: template.format(*exact_and_display(v, denominator)) for v in set(values)}
+    return list(map(texts.__getitem__, values))
+
+
 def _entries(
     output_format: str,
     results: list[tuple[str | None, Allocation]],
-    nodes: list[int] | None,
-    header: bool = True,
+    nodes: list[int],
+    header: bool,
 ) -> str:
     """The records or csv text of ``(mechanism, allocation)`` pairs, a line
-    per node of each allocation; a mechanism of None leaves its field out."""
+    per node; a mechanism of None leaves its field out."""
     records = output_format == "records"
     lines = [] if records or not header else [
         ("mechanism," if results[0][0] else "") + "node,exact,display"
     ]
     for kind, allocation in results:
-        numerators, denominator = allocation.numerators, allocation.denominator
-        shown = sorted(numerators) if nodes is None else nodes
-        values = list(map(numerators.get, shown, repeat(0)))
         if records:
             # json.dumps layout, written directly: no field needs escaping.
             head = (f'{{"mechanism": "{kind}", ' if kind else "{") + '"node": '
@@ -434,10 +443,8 @@ def _entries(
         else:
             head = f"{kind}," if kind else ""
             tail = ",{},{}"
-        # One text per distinct value of these rows, not of the allocation.
-        tails = {v: tail.format(*exact_and_display(v, denominator)) for v in set(values)}
         lines.extend(f"{head}{node}{text}"
-                     for node, text in zip(shown, map(tails.__getitem__, values)))
+                     for node, text in zip(nodes, _texts(allocation, nodes, tail)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -447,20 +454,16 @@ def render_report(
     output_format: str = "table",
     exact: bool = False,
     labels: dict[int, str] | None = None,
-    nodes: list[int] | None = None,
     header: bool = True,
 ) -> str:
-    """Render a mechanism comparison in the chosen format.
+    """Render a mechanism comparison of ``report.nodes()`` in the chosen format.
 
     The table is the human grid (mechanisms by nodes); records are one JSON
     object per allocation entry; csv is the same entries comma-separated.
     Display values are exact rationals rounded half-away-from-zero.
-    ``nodes`` picks the nodes shown, in order, and defaults to
-    ``report.nodes()``; ``header=False`` leaves out the csv header, for a
-    piece after the first.
+    ``header=False`` leaves out the csv header, for a piece after the first.
     """
-    if nodes is None:
-        nodes = report.nodes()
+    nodes = report.nodes()
     if output_format != "table":
         results = [(spec.kind, allocation) for spec, allocation in report.results]
         return _entries(output_format, results, nodes, header)
@@ -468,11 +471,8 @@ def render_report(
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
     grid = [("mechanism", headers)]
-    grid.extend(
-        (spec.kind, [value if exact else display
-                     for _, value, display in allocation.rows(nodes)])
-        for spec, allocation in report.results
-    )
+    grid.extend((spec.kind, _texts(allocation, nodes, "{0}" if exact else "{1}"))
+                for spec, allocation in report.results)
     name_width = max(len(name) for name, _ in grid)
     widths = [max(len(cells[k]) for _, cells in grid) for k in range(len(nodes))]
     lines = [
@@ -493,9 +493,8 @@ def render_allocation(
 ) -> str:
     """Render a single allocation (used for stream finals); ``header=False``
     leaves out the csv header, for a piece after the first."""
+    nodes = sorted(allocation.numerators)
     if output_format != "table":
-        return _entries(output_format, [(None, allocation)], None, header)
-    return "".join(
-        f"{node}\t{value if exact else display}\n"
-        for node, value, display in allocation.rows()
-    )
+        return _entries(output_format, [(None, allocation)], nodes, header)
+    texts = _texts(allocation, nodes, "\t{0}\n" if exact else "\t{1}\n")
+    return "".join(f"{node}{text}" for node, text in zip(nodes, texts))

@@ -211,7 +211,14 @@ def _checked(allocation: Allocation) -> dict[int, Fraction]:
     """The allocation's rewards, after checking its form and rendering."""
     assert allocation.denominator > 0
     assert all(isinstance(v, int) for v in allocation.numerators.values())
-    for node, exact, display in allocation.rows():
+    tables = [
+        [line.split("\t") for line in
+         render_allocation(allocation, "table", exact=exact).splitlines()]
+        for exact in (True, False)
+    ]
+    nodes = sorted(allocation.numerators)
+    assert [[int(node) for node, _ in table] for table in tables] == [nodes, nodes]
+    for node, (_, exact), (_, display) in zip(nodes, *tables):
         value = allocation[node]
         assert exact == str(value)
         assert display == str(round_half_away_from_zero(value))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +144,8 @@ def test_compute_config_file_with_flag_override(example_file, tmp_path, capsys):
         ("verify", {"limit_bruteforce": 21}),
         ("verify", {"limit_core": 21}),
         ("verify", {"limit_convex": 40}),
+        ("verify", {"limit_convex": -2}),
+        ("verify", {"limit_core": -1.0}),
     ],
 )
 def test_config_file_with_mistyped_entry_exits_1(
@@ -341,7 +346,28 @@ def test_compute_writes_rows_in_bounded_chunks_matching_a_whole_render(
     assert chunks == [CHUNK_ROWS + header, 5, CHUNK_ROWS, 5, CHUNK_ROWS, 5]
 
 
-@pytest.mark.parametrize("output_format", ["csv", "records"])
+def _made_texts(monkeypatch) -> list[int]:
+    """The numerators ``io.exact_and_display`` is called with from here on."""
+    made = []
+
+    def counting(numerator, denominator):
+        made.append(numerator)
+        return exact_and_display(numerator, denominator)
+
+    monkeypatch.setattr(treeshare_io, "exact_and_display", counting)
+    return made
+
+
+def _distinct_texts(allocations, size: int) -> tuple[int, int]:
+    """The distinct numerators of each piece of at most ``size`` nodes,
+    summed; and the count if every piece made the allocation's every one."""
+    pieces = [list(allocation.split(size)) for allocation in allocations]
+    return (sum(len(set(part.numerators.values())) for parts in pieces for part in parts),
+            sum(len(parts) * len(set(allocation.numerators.values()))
+                for parts, allocation in zip(pieces, allocations)))
+
+
+@pytest.mark.parametrize("output_format", ["csv", "records", "table"])
 def test_compute_makes_each_distinct_reward_text_once_per_chunk(
     output_format, tmp_path, monkeypatch
 ):
@@ -351,24 +377,32 @@ def test_compute_makes_each_distinct_reward_text_once_per_chunk(
     path.write_text(json.dumps(
         {"root": 1, "edges": [{"child": c, "parent": p} for c, p in edges]}
     ))
-    made = []
-
-    def counting(numerator, denominator):
-        made.append(numerator)
-        return exact_and_display(numerator, denominator)
-
-    monkeypatch.setattr(treeshare_io, "exact_and_display", counting)
+    made = _made_texts(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["compute", str(path), "--format", output_format]) == 0
-    report = compare(parse_tree_file(path.read_text()).tree,
-                     RunConfig().mechanism_specs())
-    ids = report.nodes()
-    chunks = [ids[k:k + CHUNK_ROWS] for k in range(0, len(ids), CHUNK_ROWS)]
-    per_chunk = [len({allocation.numerators[i] for i in chunk})
-                 for _, allocation in report.results for chunk in chunks]
-    whole = len(chunks) * sum(len(set(allocation.numerators.values()))
-                              for _, allocation in report.results)
-    assert len(made) <= sum(per_chunk) < whole
+    allocations = compare(parse_tree_file(path.read_text()).tree,
+                          RunConfig().mechanism_specs()).allocations()
+    if output_format == "table":  # one grid
+        assert len(made) <= _distinct_texts(allocations, nodes)[0] < 3 * nodes
+    else:
+        per_chunk, whole = _distinct_texts(allocations, CHUNK_ROWS)
+        assert len(made) <= per_chunk < whole
+
+
+@pytest.mark.parametrize("output_format", ["csv", "records", "table"])
+def test_stream_quiet_makes_each_distinct_reward_text_once_per_chunk(
+    output_format, tmp_path, monkeypatch
+):
+    path = tmp_path / "joins.log"
+    text = _log(random_tree_edges(random.Random(8), CHUNK_ROWS + 500, 6))
+    path.write_text(text)
+    made = _made_texts(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stream", "--quiet", str(path), "--format", output_format]) == 0
+    final = replay_events(parse_event_log(text.splitlines(True)), 1,
+                          root_adjust=RunConfig().root_adjust).allocation
+    per_chunk, whole = _distinct_texts([final], CHUNK_ROWS)
+    assert len(made) <= per_chunk < whole
 
 
 def test_stream_quiet_builds_no_deltas(monkeypatch, capsys):
@@ -603,6 +637,9 @@ def test_limit_flag_above_the_ceiling_exits_1_before_any_work(flag, capsys):
     assert (code, out) == (1, "")
     field = flag[2:].replace("-", "_")
     assert err == f"error: config field '{field}': expected at most 20, got 21\n"
+    code, out, err = run(capsys, "verify", tree, flag, "-1")
+    assert (code, out) == (1, "")
+    assert err == f"error: config field '{field}': expected at least 0, got -1\n"
     assert run(capsys, "verify", tree, flag, "20") == run(capsys, "verify", tree)
 
 
@@ -738,6 +775,22 @@ def test_event_log_lines_read_before_a_decode_error_are_applied(tmp_path, capsys
     assert len(out.splitlines()) == delivered
     assert all(line.startswith("seq ") for line in out.splitlines())
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_event_log_read_error_exits_1_after_the_lines_it_delivered(monkeypatch, capsys):
+    # The read fails with an I/O error after line 3000, inside the third
+    # 1024-line block: every line delivered is still replayed.
+    class FailingLog(io.StringIO):
+        def __iter__(self):
+            yield from (f"{k} {k + 1} 1\n" for k in range(1, 3001))
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(click, "open_file", lambda *args, **kwargs: FailingLog())
+    code, out, err = run(capsys, "stream", "joins.log")
+    assert code == 1
+    assert len(out.splitlines()) == 3000
+    assert all(line.startswith("seq ") for line in out.splitlines())
+    assert err == "error: cannot read joins.log: [Errno 5] Input/output error\n"
 
 
 @pytest.mark.parametrize("labels", ['[1]', '"x"', '{"2": {"a": [1]}}', '{"2": 5}'])

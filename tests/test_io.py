@@ -482,15 +482,17 @@ def test_config_bool_fields_keep_json_booleans():
 
 
 @pytest.mark.parametrize("key", ["limit_bruteforce", "limit_core", "limit_convex"])
-@pytest.mark.parametrize("value", [2.9, "3", True, None, float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [2.9, "3", True, None, float("inf"), float("nan"),
+                                   -1])
 def test_config_limits_take_only_integral_numbers(key, value):
     with pytest.raises(InputFormatError, match=f"config field '{key}'"):
         config_from_mapping({key: value})
 
 
 def test_config_limits_keep_integral_numbers():
-    config = config_from_mapping({"limit_core": 3, "limit_convex": 4.0})
-    assert (config.limit_core, config.limit_convex) == (3, 4)
+    config = config_from_mapping({"limit_core": 3, "limit_convex": 4.0,
+                                  "limit_bruteforce": 0})
+    assert (config.limit_core, config.limit_convex, config.limit_bruteforce) == (3, 4, 0)
     assert isinstance(config.limit_convex, int)
 
 

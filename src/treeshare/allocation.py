@@ -9,6 +9,7 @@ in plain integer arithmetic; ``Fraction`` values are built only on request.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
@@ -17,18 +18,31 @@ from math import gcd, lcm
 from numbers import Rational
 
 
+# What ``Fraction(str)`` reads: "p/q", or a decimal with an optional exponent.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)"
+    r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:e[-+]?\d+(?:_\d+)*)?)\s*",
+    re.IGNORECASE,
+)
+
+
 def as_fraction(value: Rational | int | str) -> Fraction:
     """Coerce to an exact rational.
 
-    Accepts integers, Fractions, and strings like "7/6" or "0.25". Floats are
-    rejected: binary floats silently misrepresent most decimal inputs, and
-    everything in this package is exact end-to-end.
+    Accepts integers, Fractions, and strings like "7/6" or "0.25": what
+    ``Fraction(str)`` reads, read through ``Decimal``, which has no digit
+    limit. Floats are rejected: binary floats silently misrepresent most
+    decimal inputs, and everything in this package is exact end-to-end.
     """
     if isinstance(value, float):
         raise TypeError(
             f"refusing to convert float {value!r}; pass an int, Fraction, or string"
         )
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    if not _RATIONAL.fullmatch(value):
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    return Fraction(*(Fraction(Decimal(part)) for part in value.split("/")))
 
 
 def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:

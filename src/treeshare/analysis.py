@@ -7,6 +7,7 @@ has to look at, which is what makes the dedicated routes worthwhile.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,8 +175,8 @@ def is_complete_binary_tree(tree: RootedTree) -> bool:
     and every leaf sits at the bottom level. A tree of height ``h`` with at
     most two children per node has at most ``2**(h+1) - 1`` nodes, and only
     the perfect one has that many."""
-    h = tree.height
-    return tree.n == 2 ** (h + 1) - 1 and all(len(c) <= 2 for c in tree._children)
+    widest = max(Counter(tree._parents[1:]).values(), default=0)
+    return tree.n == 2 ** (tree.height + 1) - 1 and widest <= 2
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,13 @@ def complexity_table(tree: RootedTree) -> list[ComplexityRow]:
     trimmed coalitions containing it (tree-game route), and subtree levels
     (basic route)."""
     cfg = 2 ** (tree.n - 1)
+    heights = tree._subtree_heights()
     return [
         ComplexityRow(
             node=i,
             cfg_count=cfg,
             tree_game_count=count_trimmed_containing(tree, i),
-            basic_count=tree.height_of_subtree(i) + 1,
+            basic_count=heights[tree._rank[i]] + 1,
         )
         for i in tree.node_ids
     ]

@@ -39,6 +39,18 @@ class VerificationFailure(Exception):
     """Raised by ``verify`` when any check fails; maps to exit code 2."""
 
 
+class OutputError(OSError):
+    """A failed write to stdout. It keeps the errno, so click still ends a
+    broken pipe silently, and ``stream`` tells it from a failed read."""
+
+
+def _echo(text: str) -> None:
+    try:
+        click.echo(text, nl=False)
+    except OSError as exc:
+        raise OutputError(*exc.args) from None
+
+
 def _build_config(config_path: str | None, **flags) -> RunConfig:
     """The config file's entries, then every flag given on the command line;
     each flag is named after its RunConfig field and parsed like its entry."""
@@ -95,14 +107,13 @@ def compute(treefile, strict, config_path, **flags) -> None:
     labels = document.labels
     del document  # the tree is not needed while rendering
     if config.output_format == "table":  # one grid: its widths need every node
-        click.echo(render_report(report, "table", config.exact, labels), nl=False)
+        _echo(render_report(report, "table", config.exact, labels))
         return
     header = True
     for spec, allocation in report.results:  # one mechanism and chunk at a time
         for part in allocation.split(CHUNK_ROWS):
-            click.echo(render_report(replace(report, results=((spec, part),)),
-                                     config.output_format, config.exact, labels, header),
-                       nl=False)
+            _echo(render_report(replace(report, results=((spec, part),)),
+                                config.output_format, config.exact, labels, header))
             header = False
 
 
@@ -124,9 +135,10 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
     # share shown depends on the delta's denominator alone.
     shown_share: dict[int, str] = {}
 
-    def write_pending():
-        click.echo("".join(pending), nl=False)
+    def write_pending():  # a chunk whose write fails is not written again
+        text = "".join(pending)
         pending.clear()
+        _echo(text)
 
     def emit(event, delta):
         seq, node, parent = event
@@ -152,6 +164,8 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
                 parse_event_log(handle), root,
                 root_adjust=config.root_adjust, on_delta=None if quiet else emit,
             )
+    except OutputError:
+        raise
     except (OSError, UnicodeDecodeError) as exc:  # raised as the lines are read
         raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
     finally:
@@ -163,8 +177,8 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
     # Scaled a chunk at a time too, so that the scaled allocation is never
     # held whole.
     for k, part in enumerate(snapshot.split(CHUNK_ROWS)):
-        click.echo(render_allocation(part.scaled(unit_value), config.output_format,
-                                     config.exact, header=not k), nl=False)
+        _echo(render_allocation(part.scaled(unit_value), config.output_format,
+                                config.exact, header=not k))
 
 
 @cli.command()
@@ -189,7 +203,7 @@ def verify(treefile, config_path, strict, **flags) -> None:
     )
     for check in report.checks:
         detail = f" ({check.detail})" if check.detail else ""
-        click.echo(f"{check.status.upper():8s} {check.name}{detail}")
+        _echo(f"{check.status.upper():8s} {check.name}{detail}\n")
     if not report.passed:
         raise VerificationFailure("one or more verification checks failed")
 
@@ -225,12 +239,12 @@ def count(treefile, strict) -> None:
         for k, header in enumerate(headers)
     ]
     cfg = decimal_text(table[0][2]).rjust(widths[2])
-    click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
+    _echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
     for cells in table:
-        click.echo("  ".join(
+        _echo("  ".join(
             cfg if k == 2 else decimal_text(c).rjust(w)
             for k, (c, w) in enumerate(zip(cells, widths))
-        ))
+        ) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         exc.show()
         return 1
     except click.exceptions.Abort:
+        return 1
+    except OutputError as exc:
+        click.echo(f"error: cannot write output: {exc}", err=True)
         return 1
     except ValueError as exc:  # InputFormatError and TreeError among them
         click.echo(f"error: {exc}", err=True)

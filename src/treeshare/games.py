@@ -24,6 +24,15 @@ EXPLICIT = "explicit"
 RationalLike = Rational | int | str
 
 
+# The exhaustive checks hold lists of 2**n entries, so a larger limit could
+# ask for more memory than there is.
+LIMIT_CEILING = 20
+
+
+class SizeLimitError(ValueError):
+    """An exhaustive computation was asked to exceed its configured limit."""
+
+
 class MissingCoalitionValueError(LookupError):
     """An explicit value function was queried on a set it does not cover."""
 
@@ -163,11 +172,13 @@ def coalition_values_by_mask(game: TreeGame) -> tuple[list[int], int]:
     trimmed part of a mask is that of the mask without its highest bit, plus
     that bit when its parent was kept: O(1) per mask. ``f`` is evaluated
     once per trimmed coalition, in ascending mask order, and every other
-    mask shares the value of its trimmed part. Intended for exhaustive
-    checks on small trees; callers enforce their own size limits.
+    mask shares the value of its trimmed part. For exhaustive checks on
+    small trees: past ``LIMIT_CEILING`` nodes it refuses to build anything.
     """
     tree = game.tree
     n = tree.n
+    if n > LIMIT_CEILING:
+        raise SizeLimitError(f"{n} agents exceed the ceiling {LIMIT_CEILING}")
     ids = tree._ids
     parents = tree._parents
     f = game.f

@@ -18,13 +18,13 @@ import re
 import sys
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import lt
 from typing import NamedTuple
 
-from .allocation import Allocation, exact_and_display
+from .allocation import Allocation, as_fraction, exact_and_display
+from .games import LIMIT_CEILING
 from .mechanisms import (
     GEOMETRIC,
     MECHANISM_KINDS,
@@ -44,25 +44,11 @@ class InputFormatError(ValueError):
     """A document or stream that does not match its expected format."""
 
 
-# What ``Fraction(str)`` reads: "p/q", or a decimal with an optional exponent.
-_RATIONAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)"
-    r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:e[-+]?\d+(?:_\d+)*)?)\s*",
-    re.IGNORECASE,
-)
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a finite decimal string into an exact rational: what
-    ``Fraction(str)`` reads, through ``Decimal``, which has no digit limit."""
-    literal = str(text)
+    """Parse "p/q", a finite decimal string or a JSON number into an exact
+    rational, as ``as_fraction`` reads its text."""
     try:
-        if not _RATIONAL.fullmatch(literal):
-            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
-        numerator, slash, denominator = literal.partition("/")
-        if slash:
-            return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
-        return Fraction(Decimal(literal))
+        return as_fraction(str(text))
     except (ArithmeticError, ValueError) as exc:
         raise InputFormatError(f"not a rational number: {text!r} ({exc})") from None
 
@@ -347,11 +333,6 @@ def _json_bool(value: object) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-# The exhaustive checks hold lists of 2**n entries, so a larger limit could
-# ask for more memory than there is.
-LIMIT_CEILING = 20
 
 
 def _json_limit(value: object) -> int:

@@ -111,13 +111,11 @@ def _geometric_numerators(tree: RootedTree, ratio: Fraction) -> tuple[list[int],
     p, q = ratio.numerator, ratio.denominator
     height = tree.height
     q_pow = [q**e for e in range(height + 1)]
-    children, depths = tree._children, tree._depths
+    parents, depths = tree._parents, tree._depths
     acc = [0] * tree.n
-    for r in range(tree.n - 1, -1, -1):
-        kids = children[r]
-        if kids:
-            below = q_pow[height - depths[r] - 1]
-            acc[r] = p * (below * len(kids) + sum(acc[c] for c in kids))
+    for r in range(tree.n - 1, 0, -1):
+        pr = parents[r]
+        acc[pr] += p * (q_pow[height - depths[pr] - 1] + acc[r])
     return [a * q_pow[k] for a, k in zip(acc, depths)], q_pow[height]
 
 

@@ -23,12 +23,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .allocation import Allocation, as_fraction, common_numerators
-from .games import BASIC, TreeGame, coalition_values_by_mask
+from .games import BASIC, SizeLimitError, TreeGame, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
-
-
-class SizeLimitError(ValueError):
-    """An exhaustive computation was asked to exceed its configured limit."""
 
 
 def _depth_shares(height: int) -> tuple[int, list[int]]:
@@ -44,13 +40,11 @@ def shapley_basic(tree: RootedTree) -> Allocation:
     ``1/(d+1)``, so one bottom-up pass of subtree sums covers every node.
     The rewards always sum to ``n``.
     """
-    n = tree.n
-    children = tree._children
+    parents = tree._parents
     common, share = _depth_shares(tree.height)
     acc = [share[d] for d in tree._depths]
-    for r in range(n - 1, -1, -1):
-        for c in children[r]:
-            acc[r] += acc[c]
+    for r in range(tree.n - 1, 0, -1):
+        acc[parents[r]] += acc[r]
     return Allocation(zip(tree._ids, acc), common)
 
 
@@ -113,11 +107,12 @@ def shapley_general(game: TreeGame) -> Allocation:
     n = tree.n
     f = game.f
     rank = tree._rank
-    children = tree._children
     parents = tree._parents
     subtree = [1 << r for r in range(n)]
+    kids = [0] * n
     for r in range(n - 1, 0, -1):
         subtree[parents[r]] |= subtree[r]
+        kids[parents[r]] += 1
 
     masks: list[int] = []
     values: list[Fraction] = []
@@ -128,7 +123,7 @@ def shapley_general(game: TreeGame) -> Allocation:
         for m in coalition:
             r = rank[m]
             mask |= 1 << r
-            boundary += len(children[r]) - 1
+            boundary += kids[r] - 1
         masks.append(mask)
         values.append(f.of(coalition))
         if coalition:
@@ -210,14 +205,10 @@ class IncrementalState:
         # Insertion order is join order, so parents always precede children.
         self._parents: dict[int, int | None] = {root: None}
         self._depths: dict[int, int] = {root: 0}
-        self._height = 0
 
     @property
     def n(self) -> int:
         return len(self._parents)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._parents
 
     def depth(self, node: int) -> int:
         try:
@@ -245,8 +236,6 @@ class IncrementalState:
         depth += 1
         parents[node] = parent
         depths[node] = depth
-        if depth > self._height:
-            self._height = depth
         return depth
 
     def join(self, node: int, parent: int) -> Allocation:
@@ -277,7 +266,7 @@ class IncrementalState:
         parent-before-child.
         """
         parents, depths = self._parents, self._depths
-        common, share = _depth_shares(self._height)
+        common, share = _depth_shares(max(depths.values()))
         # The memory this takes sets the peak of ``stream``. A copy makes the
         # table once, at its final size, and the result is not copied again.
         numerators = depths.copy()

@@ -31,11 +31,14 @@ def _check_id(i: int) -> None:
 class RootedTree:
     """A validated, immutable rooted tree over positive integer node ids.
 
-    Nodes are stored densely in a canonical parent-before-child order so that
-    traversal and trimming loops stay tight; the public surface always speaks
-    original ids. Instances never change after construction and are safe to
-    share across threads; the one cache, of trimmed-coalition counts, is
-    filled on first use with the same value whichever thread fills it.
+    Nodes are stored densely in a canonical parent-before-child order, as a
+    parent array and depths; the public surface always speaks original ids.
+    Children and subtree heights are worked out on request (``children(i)``
+    is O(n)), and every bottom-up pass folds each child into its parent in
+    reverse canonical order. Instances never change after construction and
+    are safe to share across threads; the one cache, of trimmed-coalition
+    counts, is filled on first use with the same value whichever thread
+    fills it.
     """
 
     __slots__ = (
@@ -44,9 +47,7 @@ class RootedTree:
         "_ids",
         "_rank",
         "_parents",
-        "_children",
         "_depths",
-        "_subheights",
         "_height",
         "_sorted_ids",
         "_counts",
@@ -121,23 +122,13 @@ class RootedTree:
         rank = dict(zip(order, range(n)))
         parents = [-1]
         parents += map(rank.__getitem__, map(parent_of.__getitem__, order[1:]))
-        children: list[list[int]] = [[] for _ in range(n)]
-        for r in range(1, n):
-            children[parents[r]].append(r)
-        subheights = [0] * n
-        for r in range(n - 1, 0, -1):
-            pr = parents[r]
-            if subheights[pr] <= subheights[r]:
-                subheights[pr] = subheights[r] + 1
 
         self.n = n
         self.root = root
         self._ids = tuple(order)
         self._rank = rank
         self._parents = tuple(parents)
-        self._children = tuple(map(tuple, children))
         self._depths = tuple(map(depth.__getitem__, order))
-        self._subheights = tuple(subheights)
         self._height = max(self._depths)
         self._sorted_ids = sorted_ids
         self._counts: tuple[int, ...] | None = None
@@ -152,9 +143,6 @@ class RootedTree:
 
     def __contains__(self, i: int) -> bool:
         return i in self._rank
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"
@@ -189,9 +177,9 @@ class RootedTree:
         return None if p < 0 else self._ids[p]
 
     def children(self, i: int) -> tuple[int, ...]:
-        """Child ids of ``i`` in ascending order."""
-        ids = self._ids
-        return tuple(ids[c] for c in self._children[self._rank_of(i)])
+        """Child ids of ``i`` in ascending order, by an O(n) scan."""
+        r = self._rank_of(i)
+        return tuple(self._ids[c] for c, p in enumerate(self._parents) if p == r)
 
     def depth(self, i: int) -> int:
         """Number of edges between ``i`` and the root."""
@@ -199,19 +187,9 @@ class RootedTree:
 
     def height_of_subtree(self, i: int) -> int:
         """Height of the subtree hanging from ``i`` (0 for a leaf)."""
-        return self._subheights[self._rank_of(i)]
+        return self._subtree_heights()[self._rank_of(i)]
 
     # -- trimming ----------------------------------------------------------
-
-    def _ranks_of(self, members: Iterable[int]) -> list[int]:
-        rank = self._rank
-        try:
-            return [rank[i] for i in members]
-        except (KeyError, TypeError):
-            for i in members:
-                if i not in rank:
-                    raise UnknownNodeError(f"unknown node id {i!r}") from None
-            raise
 
     def trim(self, members: Iterable[int]) -> Coalition:
         """Members of the coalition whose entire ancestor chain is inside it.
@@ -219,7 +197,7 @@ class RootedTree:
         Empty whenever the root is absent. The result is always parent-closed
         and contains the root when nonempty.
         """
-        ranks = sorted(self._ranks_of(members))
+        ranks = sorted(map(self._rank_of, members))
         parents = self._parents
         kept: set[int] = set()
         for r in ranks:
@@ -230,7 +208,7 @@ class RootedTree:
 
     def is_trimmed(self, members: Iterable[int]) -> bool:
         """True when trimming the coalition changes nothing."""
-        rset = set(self._ranks_of(members))
+        rset = set(map(self._rank_of, members))
         parents = self._parents
         return all(r == 0 or parents[r] in rset for r in rset)
 
@@ -281,6 +259,14 @@ class RootedTree:
             in_set[e] = 1
             members.append(e)
             yield frozenset(ids[r] for r in members)
+
+    def _subtree_heights(self) -> list[int]:
+        """Per canonical rank, the height of that node's subtree. Not kept."""
+        parents = self._parents
+        heights = [0] * self.n
+        for r in range(self.n - 1, 0, -1):
+            heights[parents[r]] = max(heights[parents[r]], heights[r] + 1)
+        return heights
 
     def _subtree_counts(self) -> list[int]:
         """Per canonical rank ``r``, ``t(r)``: how many parent-closed sets of

@@ -82,6 +82,25 @@ def test_as_fraction_accepts_exact_forms():
         as_fraction(0.1)
 
 
+def test_as_fraction_reads_literals_past_the_digit_limit():
+    rng = random.Random(97)
+
+    def digits(k: int) -> str:
+        return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=k - 1))
+
+    literals = ["1" + "0" * 5000, "-" + digits(10_000), digits(4301) + "/" + digits(9000),
+                digits(6000) + "." + digits(4000), "." + digits(8000) + "e-37",
+                " +" + digits(4299) + "E12 ", digits(3) + "/" + digits(10_000)]
+    with _int_digit_limit(4300):  # the default
+        values = [as_fraction(text) for text in literals]
+    with _int_digit_limit(0):
+        assert values == [Fraction(text) for text in literals]
+    with pytest.raises(ValueError, match=r"Invalid literal for Fraction: '1/-2'"):
+        as_fraction("1/-2")
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(7, 0\)$"):
+        as_fraction("7/0")
+
+
 def test_allocation_total_and_lookup():
     allocation = Allocation({2: Fraction(1, 3), 1: Fraction(2, 3)})
     assert allocation.total == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from treeshare import (
     ValueFunction,
     basic_game,
     build_tree,
+    coalition_values_by_mask,
     count_trimmed_containing,
     is_convex,
     is_in_core,
@@ -72,6 +74,32 @@ def test_core_respects_limit():
     tree = chain(17)
     with pytest.raises(SizeLimitError):
         is_in_core(basic_game(tree), shapley_basic(tree))
+
+
+CHAIN21 = chain(21)
+EXHAUSTIVE_PAST_THE_CEILING = {
+    "coalition values": lambda: coalition_values_by_mask(basic_game(CHAIN21)),
+    "brute force": lambda: shapley_bruteforce(basic_game(CHAIN21), limit=30),
+    "core": lambda: is_in_core(basic_game(CHAIN21), shapley_basic(CHAIN21), limit=30),
+    "convexity": lambda: is_convex(basic_game(CHAIN21), limit=30),
+    "verify brute force": lambda: run_verification(CHAIN21, limit_bruteforce=30),
+    "verify core": lambda: run_verification(CHAIN21, limit_core=30),
+    "verify convexity": lambda: run_verification(CHAIN21, limit_convex=30),
+}
+
+
+@pytest.mark.parametrize("call", EXHAUSTIVE_PAST_THE_CEILING.values(),
+                         ids=EXHAUSTIVE_PAST_THE_CEILING)
+def test_exhaustive_checks_refuse_past_the_ceiling_before_allocating(call):
+    # A list of 2**21 entries alone would take 16 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="ceiling 20"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_core_witness_is_lexicographically_first():

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -791,6 +792,70 @@ def test_event_log_read_error_exits_1_after_the_lines_it_delivered(monkeypatch, 
     assert len(out.splitlines()) == 3000
     assert all(line.startswith("seq ") for line in out.splitlines())
     assert err == "error: cannot read joins.log: [Errno 5] Input/output error\n"
+
+
+class FullStdout(io.StringIO):
+    """A stdout with room for ``room`` characters: a write past that fails
+    with ``error``, as a write to a full disk does."""
+
+    def __init__(self, room: int, error: int):
+        super().__init__()
+        self.room, self.error, self.failures = room, error, 0
+
+    def write(self, text):
+        # click probes the stream with a bytes write, which is not output.
+        if isinstance(text, str) and self.tell() + len(text) > self.room:
+            self.failures += 1
+            raise OSError(self.error, os.strerror(self.error))
+        return super().write(text)
+
+
+def _run_until_stdout_is_full(argv, error, tmp_path, monkeypatch, capsys):
+    """Run ``argv`` once in full, then with room for half of its output.
+    Returns the second run's exit code, stderr and stdout."""
+    log = tmp_path / "joins.log"
+    log.write_text(_log(random_tree_edges(random.Random(5), 3 * DELTA_CHUNK_LINES)))
+    names = {"joins.log": log, "f9.json": GOLDEN / "f9.json",
+             "r300.json": GOLDEN / "r300.json"}
+    argv = [str(names.get(arg, arg)) for arg in argv]
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    stdout = FullStdout(len(full) // 2, error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", sys.stderr)  # click may wrap it
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    monkeypatch.undo()
+    assert full.startswith(stdout.getvalue())
+    assert stdout.failures == 1  # a failed write is not tried again
+    return code, capsys.readouterr().err, stdout.getvalue()
+
+
+WRITERS = [["compute", "r300.json"], ["compute", "r300.json", "--format", "csv"],
+           ["stream", "joins.log", "--quiet"], ["stream", "joins.log"],
+           ["verify", "f9.json"], ["count", "r300.json"]]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+def test_failed_write_to_stdout_exits_1_with_a_message(
+    argv, tmp_path, monkeypatch, capsys
+):
+    code, err, out = _run_until_stdout_is_full(
+        argv, errno.ENOSPC, tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+    if argv == ["stream", "joins.log"]:  # the write of a later delta chunk failed
+        assert out.count("\n") == DELTA_CHUNK_LINES
+        assert all(line.startswith("seq ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+def test_broken_pipe_on_stdout_exits_1_silently(argv, tmp_path, monkeypatch, capsys):
+    code, err, _ = _run_until_stdout_is_full(
+        argv, errno.EPIPE, tmp_path, monkeypatch, capsys)
+    assert (code, err) == (1, "")
 
 
 @pytest.mark.parametrize("labels", ['[1]', '"x"', '{"2": {"a": [1]}}', '{"2": 5}'])

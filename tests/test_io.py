@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treeshare import (
@@ -425,6 +426,9 @@ RATIONAL_LITERALS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(RATIONAL_LITERALS)
 def test_parse_rational_reads_what_fraction_reads_at_any_length(text):
+    # Fraction reads "_" between digits from Python 3.11 on; the parser reads
+    # it on every version.
+    assume(sys.version_info >= (3, 11) or "_" not in text)
     with _int_digit_limit(0):
         try:
             expected = Fraction(text)

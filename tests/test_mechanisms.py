@@ -114,6 +114,26 @@ def test_geometric_share_bounds():
                 assert shares[i] == len(descendants) * ratio
 
 
+def test_geometric_unnormalized_is_the_decayed_sum_over_descendants():
+    rng = random.Random(89)
+    unit = Fraction(5, 3)
+    for k in range(30):
+        edges = random_tree_edges(rng, rng.randint(1, 40), rng.choice([None, 2, 5]))
+        root = 1
+        if k % 2:  # canonical order by depth, not by id
+            edges, root = shuffle_ids(rng, edges, root)
+        ratio = Fraction(rng.randint(1, 6), 7)
+        parent = dict(edges)
+        expected = {i: Fraction(0) for i in {root, *parent}}
+        for j in parent:  # ratio**distance to every ancestor of j
+            i, weight = j, unit
+            while i != root:
+                i, weight = parent[i], weight * ratio
+                expected[i] += weight
+        spec = Geometric(unit, ratio, normalize=False)
+        assert allocate_geometric(build_tree(edges, root), spec).rewards == expected
+
+
 def test_geometric_ratio_validation():
     with pytest.raises(ValueError, match="strictly between"):
         Geometric(1, ratio=1)

@@ -86,8 +86,8 @@ def test_equality_and_round_trip_of_edges(f9):
 
 def _slots_from_edges(edges, root):
     """Every slot of the tree on these valid edges, recomputed by walking
-    each node's parent chain: depths, canonical order, ranks, children,
-    subtree heights, height and ascending ids."""
+    each node's parent chain (depths, canonical order, ranks, height and
+    ascending ids), and each node's children and subtree height by id."""
     parent = dict(edges)
     nodes = sorted({root} | set(parent) | set(parent.values()))
 
@@ -104,19 +104,19 @@ def _slots_from_edges(edges, root):
         order = sorted(nodes, key=lambda i: (depth[i], i))
     rank = {i: r for r, i in enumerate(order)}
     below = {i: [j for j in nodes if i in chain_up(j)] for i in nodes}
-    return {
+    slots = {
         "n": len(nodes),
         "root": root,
         "_ids": tuple(order),
         "_rank": rank,
         "_parents": tuple(rank[parent[i]] if i != root else -1 for i in order),
-        "_children": tuple(tuple(sorted(rank[c] for c in nodes if parent.get(c) == i))
-                           for i in order),
         "_depths": tuple(depth[i] for i in order),
-        "_subheights": tuple(max(depth[j] for j in below[i]) - depth[i] for i in order),
         "_height": max(depth.values()),
         "_sorted_ids": tuple(nodes),
     }
+    children = {i: tuple(c for c in nodes if parent.get(c) == i) for i in nodes}
+    heights = {i: max(depth[j] for j in below[i]) - depth[i] for i in nodes}
+    return slots, children, heights
 
 
 @st.composite
@@ -138,8 +138,10 @@ def tree_edge_lists(draw, min_nodes=1):
 def test_build_matches_a_recomputation_from_the_edges(case):
     edges, root = case
     tree = build_tree(edges, root)
-    expected = _slots_from_edges(edges, root)
+    expected, children, heights = _slots_from_edges(edges, root)
     assert {slot: getattr(tree, slot) for slot in expected} == expected
+    assert {i: tree.children(i) for i in tree.node_ids} == children
+    assert {i: tree.height_of_subtree(i) for i in tree.node_ids} == heights
     assert tree.node_ids == tree._sorted_ids
     assert tree.height == tree._height
 
@@ -223,6 +225,12 @@ def test_unknown_node_errors(f9):
         f9.depth(42)
     with pytest.raises(UnknownNodeError):
         f9.trim({1, 42})
+    # Members that can be read only once, and ids that are not even hashable.
+    for members in ([1, 42], [3, 1, 42], [1, [2]]):
+        with pytest.raises(UnknownNodeError):
+            f9.trim(iter(members))
+        with pytest.raises(UnknownNodeError):
+            f9.is_trimmed(iter(members))
 
 
 # -- trimming --------------------------------------------------------------

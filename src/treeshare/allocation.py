@@ -26,13 +26,20 @@ _RATIONAL = re.compile(
 )
 
 
+# The most digits a rational literal may expand to: the digits it writes
+# plus the size of its exponent, which ``Fraction`` writes out in full.
+LITERAL_DIGITS = 10**6
+
+
 def as_fraction(value: Rational | int | str) -> Fraction:
     """Coerce to an exact rational.
 
     Accepts integers, Fractions, and strings like "7/6" or "0.25": what
     ``Fraction(str)`` reads, read through ``Decimal``, which has no digit
-    limit. Floats are rejected: binary floats silently misrepresent most
-    decimal inputs, and everything in this package is exact end-to-end.
+    limit. A string may expand to at most ``LITERAL_DIGITS`` digits, checked
+    before any number is built. Floats are rejected: binary floats silently
+    misrepresent most decimal inputs, and everything in this package is
+    exact end-to-end.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -42,6 +49,13 @@ def as_fraction(value: Rational | int | str) -> Fraction:
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):
         raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    written, _, exponent = value.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    width = len(str(LITERAL_DIGITS))  # past this many digits, only zeros fit
+    if (any(map(int, set(exponent[:-width])))
+            or sum(map(str.isdigit, written)) + int(exponent[-width:] or 0)
+            > LITERAL_DIGITS):
+        raise ValueError(f"literal expands to more than {LITERAL_DIGITS} digits")
     return Fraction(*(Fraction(Decimal(part)) for part in value.split("/")))
 
 

@@ -50,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return as_fraction(str(text))
     except (ArithmeticError, ValueError) as exc:
-        raise InputFormatError(f"not a rational number: {text!r} ({exc})") from None
+        raise InputFormatError(f"cannot read {text!r} as a rational: {exc}") from None
 
 
 def read_text(path: str) -> str:
@@ -154,6 +154,7 @@ class JoinEvent(NamedTuple):
 _BLOCK_LINES = 1024  # lines read and checked at a time
 # Plain ``seq node parent`` lines; ``\d`` would also match non-ASCII digits.
 _PLAIN_BLOCK = re.compile(r"(?:-?[0-9]+ -?[0-9]+ -?[0-9]+\n)*")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
@@ -215,13 +216,16 @@ def _parse_lines(lines: list[str], lineno: int, last_seq: int | None) -> Generat
             raise InputFormatError(
                 f"line {lineno}: expected 'seq node parent', got {line!r}"
             )
-        try:
-            if not line.isascii() or "_" in line or "+" in line:
-                raise ValueError
-            seq, node, parent = map(int, parts)
-        except ValueError:
+        if not line.isascii() or not all(map(_INTEGER.fullmatch, parts)):
             raise InputFormatError(
                 f"line {lineno}: fields must be integers, got {line!r}"
+            )
+        try:
+            seq, node, parent = map(int, parts)
+        except ValueError:  # a field past the int-to-str digit limit
+            raise InputFormatError(
+                f"line {lineno}: a field has more than "
+                f"{sys.get_int_max_str_digits()} digits"
             ) from None
         if last_seq is not None and seq <= last_seq:
             raise InputFormatError(
@@ -373,8 +377,6 @@ def _parse_fields(entries: dict) -> dict:
     for key, value in entries.items():
         try:
             parsed[key] = _CONFIG_PARSERS[key](value)
-        except InputFormatError:
-            raise
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"config field {key!r}: {exc}") from None
     return parsed

@@ -20,6 +20,7 @@ The closed form and the streaming snapshot work in integers over
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, lcm
 
 from .allocation import Allocation, as_fraction, common_numerators
@@ -191,9 +192,10 @@ class IncrementalState:
     Each join hands ``1/(depth+1)`` to every node on the path from the root
     to the new member, the new member included; that is exactly the change in
     the basic-game Shapley allocation, so ``allocation`` always matches the
-    batch closed form on the current tree. Work per join is proportional to
-    the new member's depth. ``attach`` grows the tree without building that
-    delta, in constant time, for callers that need only the final snapshot.
+    batch closed form on the current tree. The state keeps one table, each
+    member's parent: a depth is the length of a root path, so ``depth`` and
+    ``join`` cost O(depth), and ``attach`` grows the tree without a delta in
+    constant time, for callers that need only the final snapshot.
 
     Single-writer: callers serialise joins.
     """
@@ -204,20 +206,22 @@ class IncrementalState:
         self.root_adjust = root_adjust
         # Insertion order is join order, so parents always precede children.
         self._parents: dict[int, int | None] = {root: None}
-        self._depths: dict[int, int] = {root: 0}
 
     @property
     def n(self) -> int:
         return len(self._parents)
 
     def depth(self, node: int) -> int:
-        try:
-            return self._depths[node]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node id {node!r}") from None
+        parents = self._parents
+        if node not in parents:
+            raise UnknownNodeError(f"unknown node id {node!r}")
+        depth = 0
+        while (node := parents[node]) is not None:
+            depth += 1
+        return depth
 
-    def attach(self, node: int, parent: int) -> int:
-        """Attach a new member under ``parent`` and return its depth.
+    def attach(self, node: int, parent: int) -> None:
+        """Attach a new member under ``parent``.
 
         Rejects an unknown parent, a node that already joined and a node id
         that is not a positive integer; a rejected join changes nothing. The
@@ -225,59 +229,55 @@ class IncrementalState:
         tree, so a replay that needs no deltas only attaches.
         """
         parents = self._parents
-        depths = self._depths
-        depth = depths.get(parent)
-        if depth is None:
+        if parent not in parents:
             raise UnknownNodeError(f"unknown parent {parent!r}")
         if node in parents:
             raise TreeError(f"node {node} already joined")
         if node.__class__ is not int or node <= 0:
             raise TreeError(f"node ids must be positive integers, got {node!r}")
-        depth += 1
         parents[node] = parent
-        depths[node] = depth
-        return depth
 
     def join(self, node: int, parent: int) -> Allocation:
         """Attach a new member under ``parent`` and return the reward delta.
 
         The delta pays ``1/(depth(node)+1)`` to every node on the root path,
-        the new member included: numerators of 1 over ``depth(node)+1``. All
+        the new member included: numerators of 1 over the path's length. All
         other rewards are untouched.
         """
-        depth = self.attach(node, parent)
+        self.attach(node, parent)
         parents = self._parents
         delta = {node: 1}
-        cur: int | None = parent
-        while cur is not None:
-            delta[cur] = 1
-            cur = parents[cur]
+        while parent is not None:
+            delta[parent] = 1
+            parent = parents[parent]
         # One delta per event: the constructor's defensive copy would cost a
         # few percent of a join.
-        return Allocation.owning(delta, depth + 1)
+        return Allocation.owning(delta, len(delta))
 
     @property
     def allocation(self) -> Allocation:
         """The full allocation for the current tree (root-adjusted if set).
 
-        One bottom-up pass over ``lcm(1..height+1)``: every node starts with
-        the numerator of its own ``1/(depth+1)`` share and folds its subtree
-        total into its parent, children first because joins arrive
-        parent-before-child.
+        Over ``lcm(1..height+1)``: a forward pass writes each node's depth,
+        parents first; each node then takes the numerator of its own
+        ``1/(depth+1)`` share, and a bottom-up pass folds subtree totals into
+        parents, children first.
         """
-        parents, depths = self._parents, self._depths
-        common, share = _depth_shares(max(depths.values()))
+        parents = self._parents
         # The memory this takes sets the peak of ``stream``. A copy makes the
         # table once, at its final size, and the result is not copied again.
-        numerators = depths.copy()
-        for node, depth in depths.items():
+        numerators = parents.copy()
+        numerators[self.root] = 0
+        for node, parent in islice(parents.items(), 1, None):  # the root is first
+            numerators[node] = numerators[parent] + 1
+        common, share = _depth_shares(max(numerators.values()))
+        for node, depth in numerators.items():  # in place: no new table
             numerators[node] = share[depth]
-        for node, parent in reversed(parents.items()):
-            if parent is not None:
-                # ``+`` leaves a spare digit in a sum of multi-digit ints, and
-                # whether the shares have more than one digit depends on the
-                # height; ``sum`` makes each int only as large as its value.
-                numerators[parent] = sum((numerators[parent], numerators[node]))
+        for node, parent in islice(reversed(parents.items()), len(parents) - 1):
+            # ``+`` leaves a spare digit in a sum of multi-digit ints, and
+            # whether the shares have more than one digit depends on the
+            # height; ``sum`` makes each int only as large as its value.
+            numerators[parent] = sum((numerators[parent], numerators[node]))
         if self.root_adjust:
             numerators[self.root] -= common
         return Allocation.owning(numerators, common)

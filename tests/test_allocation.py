@@ -4,6 +4,8 @@ checked against a ``Fraction`` reference."""
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from math import floor, lcm
 
@@ -21,7 +23,12 @@ from treeshare import (
     build_tree,
     shapley_basic,
 )
-from treeshare.allocation import as_fraction, decimal_text, round_half_away_from_zero
+from treeshare.allocation import (
+    LITERAL_DIGITS,
+    as_fraction,
+    decimal_text,
+    round_half_away_from_zero,
+)
 from treeshare.mechanisms import (
     allocate_geometric,
     allocate_refer_a_friend,
@@ -99,6 +106,29 @@ def test_as_fraction_reads_literals_past_the_digit_limit():
         as_fraction("1/-2")
     with pytest.raises(ZeroDivisionError, match=r"^Fraction\(7, 0\)$"):
         as_fraction("7/0")
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+def test_as_fraction_refuses_a_literal_past_the_ceiling_before_building_it(literal):
+    # A billion-digit int would take over 400 MB; the exponent text alone
+    # decides, so the refusal costs almost nothing.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"more than {LITERAL_DIGITS} digits"):
+            as_fraction(literal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2**20
+
+
+def test_as_fraction_reads_the_exponent_past_leading_zeros():
+    assert LITERAL_DIGITS == 10**6
+    for exponent in ["0" * 20 + "2", "0_0_2", "\u0660" * 9 + "2", "0002"]:
+        assert as_fraction(f"1e{exponent}") == as_fraction(f"1E+{exponent}") == 100
+        assert as_fraction(f"1e-{exponent}") == Fraction(1, 100)
 
 
 def test_allocation_total_and_lookup():

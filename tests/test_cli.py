@@ -9,6 +9,7 @@ import json
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -431,6 +432,20 @@ def test_stream_rejects_ids_int_would_misread(line, tmp_path, capsys):
         assert err == f"error: line 2: fields must be integers, got {line!r}\n"
 
 
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_stream_names_the_digit_limit_for_a_long_field(field, tmp_path, capsys):
+    parts = ["1", "2", "1"]
+    parts[field] = "9" * 5000
+    path = tmp_path / "joins.log"
+    path.write_text(" ".join(parts) + "\n")
+    with _int_digit_limit(4300):
+        for quiet in ([], ["--quiet"]):
+            code, out, err = run(capsys, "stream", str(path), *quiet)
+            assert (code, out) == (1, "")
+            assert err == "error: line 1: a field has more than 4300 digits\n"
+            assert len(err.encode()) < 120
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_passes_on_example(example_file, capsys):
@@ -642,6 +657,27 @@ def test_limit_flag_above_the_ceiling_exits_1_before_any_work(flag, capsys):
     assert (code, out) == (1, "")
     assert err == f"error: config field '{field}': expected at least 0, got -1\n"
     assert run(capsys, "verify", tree, flag, "20") == run(capsys, "verify", tree)
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+@pytest.mark.parametrize("command,field", [
+    ("compute", "unit"), ("compute", "ratio"), ("compute", "referrer_share"),
+    ("stream", "unit"),
+])
+def test_rational_past_the_literal_ceiling_exits_1_naming_the_field(
+    command, field, literal, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({field: literal}))
+    args = [command, _golden_input(command)]
+    flag = "--" + field.replace("_", "-")
+    for extra in ([flag, literal], ["--config", str(config)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *args, *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: config field '{field}': cannot read {literal!r} as a "
+                       f"rational: literal expands to more than 1000000 digits\n")
 
 
 def test_flag_beats_config_entry(tmp_path, capsys):

@@ -247,12 +247,13 @@ def _events_line_by_line(lines) -> tuple[list, str | None]:
         parts = line.split()
         if len(parts) != 3:
             return events, f"line {lineno}: expected 'seq node parent', got {line!r}"
-        try:
-            if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-                raise ValueError
-            seq, node, parent = map(int, parts)
-        except ValueError:  # also a field past the int-to-str digit limit
+        if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
             return events, f"line {lineno}: fields must be integers, got {line!r}"
+        try:
+            seq, node, parent = map(int, parts)
+        except ValueError:  # a field past the int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            return events, f"line {lineno}: a field has more than {limit} digits"
         if last_seq is not None and seq <= last_seq:
             return events, f"line {lineno}: sequence {seq} does not increase past {last_seq}"
         last_seq = seq

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -25,6 +26,7 @@ from treeshare import (
     shapley_value,
 )
 from treeshare.games import scale_game
+from treeshare.io import parse_event_log, replay_events
 from treeshare.shapley import root_adjust
 from treeshare.tree import chain, star
 
@@ -356,14 +358,57 @@ def test_join_validation():
         state.join(-4, 1)
 
 
-def test_attach_returns_the_depth_and_builds_no_delta():
+def test_attach_returns_nothing_and_builds_no_delta():
     state = IncrementalState(1)
-    assert state.attach(3, 1) == 1
-    assert state.attach(6, 3) == 2
+    assert state.attach(3, 1) is None
+    assert state.attach(6, 3) is None
     assert state.join(7, 3).rewards == {
         1: Fraction(1, 3), 3: Fraction(1, 3), 7: Fraction(1, 3)}
     assert state.allocation.rewards == shapley_basic(state.to_tree()).rewards
     assert state.depth(6) == 2
+    with pytest.raises(UnknownNodeError, match="unknown node id 42"):
+        state.depth(42)
+
+
+def test_depth_walks_a_long_chain_without_recursion():
+    state = IncrementalState(1)
+    n = 100_000
+    for node in range(2, n + 1):
+        state.attach(node, node - 1)
+    assert state.depth(n) == n - 1
+    assert state.depth(n // 2) == n // 2 - 1
+    assert state.depth(1) == 0
+
+
+def test_join_delta_denominator_is_the_depth_plus_one():
+    rng = random.Random(83)
+    for _ in range(10):
+        edges = random_tree_edges(rng, rng.randint(2, 80), rng.choice([None, 3]))
+        edges, root = shuffle_ids(rng, edges, 1)
+        state = IncrementalState(root)
+        denominators = {node: state.join(node, parent).denominator
+                        for node, parent in edges}
+        tree = state.to_tree()
+        assert denominators == {node: tree.depth(node) + 1 for node, _ in edges}
+        assert all(state.depth(node) == tree.depth(node) for node in tree.node_ids)
+
+
+def test_replay_and_snapshot_keep_one_table_per_join():
+    # The state holds only each member's parent; the snapshot adds one table.
+    # A second table of depths would take about 50 more bytes per join.
+    rng = random.Random(89)
+    joins = 50_000
+    lines = [f"{seq} {node} {parent}\n"
+             for seq, (node, parent) in enumerate(random_tree_edges(rng, joins + 1), 1)]
+    tracemalloc.start()
+    try:
+        state = replay_events(parse_event_log(lines), 1)
+        snapshot = state.allocation
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snapshot) == joins + 1
+    assert peak / joins < 200
 
 
 @pytest.mark.parametrize("step", ["attach", "join"])

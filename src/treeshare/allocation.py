@@ -31,15 +31,24 @@ _RATIONAL = re.compile(
 LITERAL_DIGITS = 10**6
 
 
+def excerpt(value: object) -> str:
+    """``repr(value)`` for a message, bounded in length: a text of more than
+    40 characters shows its first 20, then ``…`` and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    return f"{text[:20]!r}… ({len(text)} characters)"
+
+
 def as_fraction(value: Rational | int | str) -> Fraction:
     """Coerce to an exact rational.
 
     Accepts integers, Fractions, and strings like "7/6" or "0.25": what
-    ``Fraction(str)`` reads, read through ``Decimal``, which has no digit
-    limit. A string may expand to at most ``LITERAL_DIGITS`` digits, checked
-    before any number is built. Floats are rejected: binary floats silently
-    misrepresent most decimal inputs, and everything in this package is
-    exact end-to-end.
+    ``Fraction(str)`` reads, with no digit limit. A string may expand to at
+    most ``LITERAL_DIGITS`` digits, checked before any number is built, and
+    its digits are read in subquadratic time. Floats are rejected: binary
+    floats silently misrepresent most decimal inputs, and everything in this
+    package is exact end-to-end.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -48,15 +57,45 @@ def as_fraction(value: Rational | int | str) -> Fraction:
     if not isinstance(value, str):
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):
-        raise ValueError(f"Invalid literal for Fraction: {value!r}")
-    written, _, exponent = value.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "")
+        raise ValueError(f"Invalid literal for Fraction: {excerpt(value)}")
+    written, _, exponent = value.strip().lower().replace("_", "").partition("e")
+    magnitude = exponent.lstrip("+-")
     width = len(str(LITERAL_DIGITS))  # past this many digits, only zeros fit
-    if (any(map(int, set(exponent[:-width])))
-            or sum(map(str.isdigit, written)) + int(exponent[-width:] or 0)
-            > LITERAL_DIGITS):
+    places = int(magnitude[-width:] or 0)
+    if (any(map(int, set(magnitude[:-width])))
+            or sum(map(str.isdigit, written)) + places > LITERAL_DIGITS):
         raise ValueError(f"literal expands to more than {LITERAL_DIGITS} digits")
-    return Fraction(*(Fraction(Decimal(part)) for part in value.split("/")))
+    numerator, slash, denominator = written.partition("/")
+    whole, _, fraction = numerator.partition(".")
+    n = _digits_value(whole.lstrip("+-") + fraction)
+    if whole.startswith("-"):
+        n = -n
+    if slash:
+        return Fraction(n, _digits_value(denominator))
+    shift = (-places if exponent.startswith("-") else places) - len(fraction)
+    return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
+
+
+def _digits_value(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits of any length.
+
+    ``int`` is quadratic in the length before CPython 3.12 and refuses more
+    than ``sys.get_int_max_str_digits()`` digits (at least 640). Longer
+    strings are split in halves, read apart and joined with int
+    multiplication, which is subquadratic: ``decimal_text`` in reverse.
+    """
+
+    @cache
+    def power(k: int) -> int:  # 10**k
+        return 10**k
+
+    def read(text: str) -> int:
+        if len(text) <= 512:
+            return int(text)
+        half = len(text) >> 1
+        return read(text[:-half]) * power(half) + read(text[-half:])
+
+    return read(digits)
 
 
 def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:

@@ -16,11 +16,6 @@ from numbers import Rational
 from .allocation import as_fraction, common_numerators
 from .tree import Coalition, RootedTree
 
-BASIC = "basic"
-SIZE_BASED = "size_based"
-LINEAR_WEIGHTS = "linear_weights"
-EXPLICIT = "explicit"
-
 RationalLike = Rational | int | str
 
 
@@ -39,42 +34,48 @@ class MissingCoalitionValueError(LookupError):
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """A value assignment over trimmed coalitions.
+    """A value assignment over trimmed coalitions: one frozen type per class.
 
-    Variants:
-      * ``basic``          -- one unit per connected member (value = size).
-      * ``size_based``     -- table lookup by size; entry 0 must be 0.
-      * ``linear_weights`` -- per-node weights summed over the members.
-      * ``explicit``       -- a literal table keyed by trimmed sets. Querying
-        an uncovered nonempty set is an error, never a silent 0.
+    Build one with a constructor; each type carries and checks only its own
+    data, and checks that data against the tree when a ``TreeGame`` is made.
 
-    The empty set is worth 0 in every variant. ``scale`` multiplies every
-    value and composes under repeated scaling.
+    * ``basic()`` -- one unit per connected member (value = size). Carries
+      nothing. ``shapley_value`` takes the O(n) closed form, at any scale.
+    * ``size_based(weights)`` -- ``weights[|S|]``; the table must start with
+      0 and, in a game, hold one entry per size ``0..n``.
+    * ``linear(weights)`` -- the members' node weights summed; a game needs
+      a weight for every node and none for unknown ids.
+    * ``explicit(values)`` -- a literal table keyed by trimmed sets, with no
+      duplicate keys and 0 for the empty set; in a game every key must be a
+      trimmed coalition of the tree. Querying an uncovered nonempty set is
+      an error, never a silent 0.
+
+    ``shapley_value`` takes the trimmed-coalition sum for the last three,
+    with one ``f`` call per trimmed coalition. The empty set is worth 0 in
+    every class. ``scale`` multiplies every value, composes under repeated
+    scaling and keeps the type.
     """
 
-    variant: str
-    size_weights: tuple[Fraction, ...] | None = None
-    node_weights: Mapping[int, Fraction] | None = None
-    table: Mapping[Coalition, Fraction] | None = None
-    scale: Fraction = field(default=Fraction(1))
+    scale: Fraction = field(default=Fraction(1), kw_only=True)
+
+    def __post_init__(self) -> None:
+        if type(self) is ValueFunction:
+            raise TypeError("build a ValueFunction with one of its constructors")
 
     @classmethod
     def basic(cls) -> "ValueFunction":
-        return cls(BASIC)
+        return _Basic()
 
     @classmethod
     def size_based(cls, weights: Iterable[RationalLike]) -> "ValueFunction":
         table = tuple(as_fraction(w) for w in weights)
         if not table or table[0] != 0:
             raise ValueError("size table must start with 0 for the empty set")
-        return cls(SIZE_BASED, size_weights=table)
+        return _SizeBased(table)
 
     @classmethod
     def linear(cls, weights: Mapping[int, RationalLike]) -> "ValueFunction":
-        return cls(
-            LINEAR_WEIGHTS,
-            node_weights={int(i): as_fraction(w) for i, w in weights.items()},
-        )
+        return _Linear({int(i): as_fraction(w) for i, w in weights.items()})
 
     @classmethod
     def explicit(
@@ -89,32 +90,80 @@ class ValueFunction:
             if key in table:
                 raise ValueError(f"duplicate value for coalition {sorted(key)}")
             table[key] = as_fraction(value)
-        if table.get(frozenset(), Fraction(0)) != 0:
+        if table.pop(frozenset(), 0) != 0:
             raise ValueError("the empty coalition must be worth 0")
-        table.pop(frozenset(), None)
-        return cls(EXPLICIT, table=table)
+        return _Explicit(table)
 
     def scaled(self, k: RationalLike) -> "ValueFunction":
         return replace(self, scale=self.scale * as_fraction(k))
 
     def of(self, members: Coalition) -> Fraction:
         """Value of an already-trimmed coalition."""
-        if self.variant == BASIC:
-            base = Fraction(len(members))
-        elif self.variant == SIZE_BASED:
-            base = self.size_weights[len(members)]
-        elif self.variant == LINEAR_WEIGHTS:
-            base = sum((self.node_weights[i] for i in members), Fraction(0))
-        else:
-            if not members:
-                return Fraction(0)
-            try:
-                base = self.table[frozenset(members)]
-            except KeyError:
-                raise MissingCoalitionValueError(
-                    f"no value assigned to trimmed coalition {sorted(members)}"
-                ) from None
+        if not members:
+            return Fraction(0)
+        base = self._value(members)
         return base if self.scale == 1 else self.scale * base
+
+    def _check_fits(self, tree: RootedTree) -> None:
+        """Raise ``ValueError`` if this function's data does not fit ``tree``."""
+
+
+@dataclass(frozen=True)
+class _Basic(ValueFunction):
+    def _value(self, members: Coalition) -> Fraction:
+        return Fraction(len(members))
+
+
+@dataclass(frozen=True)
+class _SizeBased(ValueFunction):
+    weights: tuple[Fraction, ...]
+
+    def _value(self, members: Coalition) -> Fraction:
+        return self.weights[len(members)]
+
+    def _check_fits(self, tree: RootedTree) -> None:
+        if len(self.weights) != tree.n + 1:
+            raise ValueError(
+                f"size table must have {tree.n + 1} entries (sizes 0..{tree.n}), "
+                f"got {len(self.weights)}"
+            )
+
+
+@dataclass(frozen=True)
+class _Linear(ValueFunction):
+    weights: Mapping[int, Fraction]
+
+    def _value(self, members: Coalition) -> Fraction:
+        return sum((self.weights[i] for i in members), Fraction(0))
+
+    def _check_fits(self, tree: RootedTree) -> None:
+        missing = [i for i in tree.node_ids if i not in self.weights]
+        if missing:
+            raise ValueError(f"no weight for nodes {missing}")
+        extra = [i for i in self.weights if i not in tree]
+        if extra:
+            raise ValueError(f"weights given for unknown nodes {sorted(extra)}")
+
+
+@dataclass(frozen=True)
+class _Explicit(ValueFunction):
+    table: Mapping[Coalition, Fraction]
+
+    def _value(self, members: Coalition) -> Fraction:
+        try:
+            return self.table[frozenset(members)]
+        except KeyError:
+            raise MissingCoalitionValueError(
+                f"no value assigned to trimmed coalition {sorted(members)}"
+            ) from None
+
+    def _check_fits(self, tree: RootedTree) -> None:
+        for key in self.table:
+            if not tree.is_trimmed(key):
+                raise ValueError(
+                    f"explicit value for {sorted(key)}, which is not a "
+                    "trimmed coalition of this tree"
+                )
 
 
 @dataclass(frozen=True)
@@ -125,27 +174,7 @@ class TreeGame:
     f: ValueFunction
 
     def __post_init__(self) -> None:
-        n = self.tree.n
-        f = self.f
-        if f.variant == SIZE_BASED and len(f.size_weights) != n + 1:
-            raise ValueError(
-                f"size table must have {n + 1} entries (sizes 0..{n}), "
-                f"got {len(f.size_weights)}"
-            )
-        if f.variant == LINEAR_WEIGHTS:
-            missing = [i for i in self.tree.node_ids if i not in f.node_weights]
-            if missing:
-                raise ValueError(f"no weight for nodes {missing}")
-            extra = [i for i in f.node_weights if i not in self.tree]
-            if extra:
-                raise ValueError(f"weights given for unknown nodes {sorted(extra)}")
-        if f.variant == EXPLICIT:
-            for key in f.table:
-                if not self.tree.is_trimmed(key):
-                    raise ValueError(
-                        f"explicit value for {sorted(key)}, which is not a "
-                        "trimmed coalition of this tree"
-                    )
+        self.f._check_fits(self.tree)
 
 
 def basic_game(tree: RootedTree) -> TreeGame:

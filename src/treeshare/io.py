@@ -23,7 +23,7 @@ from itertools import count, islice, repeat
 from operator import lt
 from typing import NamedTuple
 
-from .allocation import Allocation, as_fraction, exact_and_display
+from .allocation import Allocation, as_fraction, exact_and_display, excerpt
 from .games import LIMIT_CEILING
 from .mechanisms import (
     GEOMETRIC,
@@ -50,7 +50,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         return as_fraction(str(text))
     except (ArithmeticError, ValueError) as exc:
-        raise InputFormatError(f"cannot read {text!r} as a rational: {exc}") from None
+        raise InputFormatError(
+            f"cannot read {excerpt(text)} as a rational: {exc}"
+        ) from None
 
 
 def read_text(path: str) -> str:

@@ -24,7 +24,7 @@ from itertools import islice
 from math import factorial, gcd, lcm
 
 from .allocation import Allocation, as_fraction, common_numerators
-from .games import BASIC, SizeLimitError, TreeGame, coalition_values_by_mask
+from .games import SizeLimitError, TreeGame, _Basic, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
 
 
@@ -162,7 +162,7 @@ def shapley_value(game: TreeGame) -> Allocation:
     the linearity of the Shapley value under scaling; everything else goes
     through the trimmed-coalition sum.
     """
-    if game.f.variant == BASIC:
+    if isinstance(game.f, _Basic):
         base = shapley_basic(game.tree)
         return base if game.f.scale == 1 else base.scaled(game.f.scale)
     return shapley_general(game)

@@ -680,6 +680,19 @@ def test_rational_past_the_literal_ceiling_exits_1_naming_the_field(
                        f"rational: literal expands to more than 1000000 digits\n")
 
 
+def test_a_long_rational_literal_is_cut_in_its_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"unit": "1" + "0" * 10**6}))
+    tree = _golden_input("compute")
+    for extra in (["--config", str(config)], ["--unit", "x" * 10**5]):
+        code, out, err = run(capsys, "compute", tree, *extra)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err == ("error: config field 'unit': cannot read 'xxxxxxxxxxxxxxxxxxxx'… "
+                   "(100000 characters) as a rational: Invalid literal for Fraction: "
+                   "'xxxxxxxxxxxxxxxxxxxx'… (100000 characters)\n")
+
+
 def test_flag_beats_config_entry(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"unit": "1000", "ratio": "1/3", "exact": False,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,11 +19,13 @@ from treeshare import (
     build_tree,
     coalition_value,
     coalition_values_by_mask,
+    shapley_general,
 )
 from treeshare.games import scale_game
 from treeshare.tree import chain
 
 from conftest import all_subsets, marginal_contribution, random_tree_edges, seeded_trees
+from test_perfbench_hooks import tracer_class  # noqa: F401  (a fixture)
 
 
 def random_explicit_game(rng: random.Random, tree) -> TreeGame:
@@ -149,6 +152,48 @@ def test_explicit_rejects_untrimmed_keys_and_nonzero_empty():
 def test_floats_are_refused():
     with pytest.raises(TypeError, match="float"):
         ValueFunction.size_based([0, 0.5])
+
+
+# -- one type per class ------------------------------------------------------
+
+def _field_names(f: ValueFunction) -> set[str]:
+    return {spec.name for spec in dataclasses.fields(f)}
+
+
+def test_each_class_carries_only_its_own_data():
+    built = [
+        (ValueFunction.basic(), set()),
+        (ValueFunction.size_based([0, 1]), {"weights"}),
+        (ValueFunction.linear({1: 2}), {"weights"}),
+        (ValueFunction.explicit({(1,): 3}), {"table"}),
+    ]
+    for f, data in built:
+        assert _field_names(f) == {"scale"} | data
+        scaled = f.scaled("-7/3")
+        assert type(scaled) is type(f) and scaled.scale == Fraction(-7, 3)
+        assert _field_names(scaled) == _field_names(f)
+    assert len({type(f) for f, _ in built}) == 4
+
+
+@pytest.mark.parametrize("args", [("nonsense",), ("size_based",), ()])
+def test_a_value_function_needs_a_constructor(args):
+    with pytest.raises(TypeError):
+        ValueFunction(*args)
+
+
+@pytest.mark.parametrize("kind", ["size_based", "linear", "explicit"])
+def test_the_tracer_counts_every_value_call_of_each_class(kind, f9, tracer_class):
+    # The benchmark counts calls by patching ``ValueFunction.of``, so no
+    # class may define its own ``of``.
+    game = random_game(random.Random(41), f9, kind)
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        shapley_general(game)
+        calls = tracer.counts["games.value_calls"]
+    finally:
+        tracer.uninstall()
+    assert calls == len(list(f9.enumerate_trimmed()))
 
 
 # -- marginal contributions ---------------------------------------------------

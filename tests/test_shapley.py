@@ -256,6 +256,17 @@ def test_dispatcher_routes_basic_and_scaled(example_tree):
     assert shapley_general(scaled).rewards == expected
 
 
+def test_dispatcher_takes_the_closed_form_for_a_scaled_basic_game(monkeypatch):
+    # The trimmed-coalition sum would visit 2**39 coalitions of this star.
+    def refuse(game):
+        raise AssertionError("shapley_value took the general route")
+
+    monkeypatch.setattr("treeshare.shapley.shapley_general", refuse)
+    tree = star(40)
+    k = Fraction(-7, 3)
+    assert shapley_value(scale_game(basic_game(tree), k)) == shapley_basic(tree).scaled(k)
+
+
 def test_scaling_linearity_on_general_games():
     rng = random.Random(59)
     tree = build_tree(random_tree_edges(rng, 6), 1)

@@ -71,7 +71,10 @@ def as_fraction(value: Rational | int | str) -> Fraction:
     if whole.startswith("-"):
         n = -n
     if slash:
-        return Fraction(n, _digits_value(denominator))
+        d = _digits_value(denominator)
+        if not d:  # ``Fraction`` would echo the numerator in full
+            raise ZeroDivisionError("zero denominator")
+        return Fraction(n, d)
     shift = (-places if exponent.startswith("-") else places) - len(fraction)
     return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
 

@@ -100,7 +100,9 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
     if strict:
         unknown = set(data) - known
         if unknown:
-            raise InputFormatError(f"unknown fields {sorted(unknown)} in tree document")
+            raise InputFormatError(
+                f"unknown fields {excerpt(sorted(unknown))} in tree document"
+            )
     if "root" not in data:
         raise InputFormatError("tree document is missing the 'root' field")
     edges_field = data.get("edges", [])
@@ -114,7 +116,9 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
             )
         if strict and len(entry) != 2:
             unknown = set(entry) - {"child", "parent"}
-            raise InputFormatError(f"edge #{idx}: unknown fields {sorted(unknown)}")
+            raise InputFormatError(
+                f"edge #{idx}: unknown fields {excerpt(sorted(unknown))}"
+            )
         edges.append((entry["child"], entry["parent"]))
     root, labels_field = data["root"], data.get("labels")
     del data, edges_field  # the decoded document, freed before the tree is built
@@ -133,7 +137,7 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
         except (TypeError, ValueError):
             canonical = False
         if not canonical:
-            raise InputFormatError(f"label key {key!r} is not a node id")
+            raise InputFormatError(f"label key {excerpt(key)} is not a node id")
         if node not in tree:
             raise InputFormatError(f"label for unknown node {node}")
         if not isinstance(name, str):
@@ -216,11 +220,11 @@ def _parse_lines(lines: list[str], lineno: int, last_seq: int | None) -> Generat
         parts = line.split()
         if len(parts) != 3:
             raise InputFormatError(
-                f"line {lineno}: expected 'seq node parent', got {line!r}"
+                f"line {lineno}: expected 'seq node parent', got {excerpt(line)}"
             )
         if not line.isascii() or not all(map(_INTEGER.fullmatch, parts)):
             raise InputFormatError(
-                f"line {lineno}: fields must be integers, got {line!r}"
+                f"line {lineno}: fields must be integers, got {excerpt(line)}"
             )
         try:
             seq, node, parent = map(int, parts)
@@ -258,7 +262,7 @@ def replay_events(
         try:
             result = step(node, parent)
         except ValueError as exc:
-            raise InputFormatError(f"event {seq}: {exc}") from None
+            raise InputFormatError(f"event {excerpt(seq)}: {exc}") from None
         if on_delta is not None:
             on_delta(event, result)
     return state
@@ -281,7 +285,7 @@ def normalize_mechanism_name(name: str) -> str:
         return _MECHANISM_ALIASES[str(name).strip().lower()]
     except KeyError:
         raise InputFormatError(
-            f"unknown mechanism {name!r}; expected one of "
+            f"unknown mechanism {excerpt(name)}; expected one of "
             f"{sorted(set(_MECHANISM_ALIASES))}"
         ) from None
 
@@ -305,7 +309,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.output_format not in OUTPUT_FORMATS:
             raise InputFormatError(
-                f"unknown output format {self.output_format!r}; "
+                f"unknown output format {excerpt(self.output_format)}; "
                 f"expected one of {OUTPUT_FORMATS}"
             )
         object.__setattr__(
@@ -337,7 +341,7 @@ class RunConfig:
 def _json_bool(value: object) -> bool:
     """Only JSON ``true``/``false``; strings and numbers are not booleans."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"expected true or false, got {excerpt(value)}")
     return value
 
 
@@ -347,11 +351,11 @@ def _json_limit(value: object) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {excerpt(value)}")
     if value < 0:
-        raise ValueError(f"expected at least 0, got {value!r}")
+        raise ValueError(f"expected at least 0, got {excerpt(value)}")
     if value > LIMIT_CEILING:
-        raise ValueError(f"expected at most {LIMIT_CEILING}, got {value!r}")
+        raise ValueError(f"expected at most {LIMIT_CEILING}, got {excerpt(value)}")
     return int(value)
 
 
@@ -374,7 +378,7 @@ def _parse_fields(entries: dict) -> dict:
     """Each entry parsed by its field's parser, rejecting unknown keys."""
     unknown = set(entries) - set(_CONFIG_PARSERS)
     if unknown:
-        raise InputFormatError(f"unknown config fields {sorted(unknown)}")
+        raise InputFormatError(f"unknown config fields {excerpt(sorted(unknown))}")
     parsed = {}
     for key, value in entries.items():
         try:

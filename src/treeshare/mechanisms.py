@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .allocation import Allocation, as_fraction, common_numerators
-from .shapley import root_adjust, shapley_basic
+from .shapley import shapley_basic
 from .tree import RootedTree
 
 REFER_A_FRIEND = "refer_a_friend"
@@ -145,12 +145,14 @@ def allocate_shapley_mechanism(tree: RootedTree, spec: EqualShares) -> Allocatio
 
     Identical to ``unit_value`` times the basic-game Shapley allocation; with
     ``root_adjust`` the root gives up one unit for its own free signup, which
-    brings the total down to ``unit_value * (n - 1)``.
+    brings the total down to ``unit_value * (n - 1)``. As in
+    ``IncrementalState.allocation``, the unit comes off the root's closed-form
+    numerator, in place, before the one scaling.
     """
-    allocation = shapley_basic(tree).scaled(spec.unit_value)
+    allocation = shapley_basic(tree)
     if spec.root_adjust:
-        allocation = root_adjust(allocation, tree.root, spec.unit_value)
-    return allocation
+        allocation.numerators[tree.root] -= allocation.denominator
+    return allocation.scaled(spec.unit_value)
 
 
 _ALLOCATORS = {

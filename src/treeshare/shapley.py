@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
 
-from .allocation import Allocation, as_fraction, common_numerators
+from .allocation import Allocation, as_fraction, common_numerators, excerpt
 from .games import SizeLimitError, TreeGame, _Basic, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
 
@@ -174,16 +174,13 @@ def root_adjust(
     """Deduct one referral unit from the root's reward.
 
     Models programs where signing up independently earns no referral bonus:
-    the root is paid only for the members below it.
+    the root is paid only for the members below it. Works on any allocation,
+    as its sum with a one-entry allocation of ``-unit_value`` at the root;
+    ``compute`` and ``stream`` take the unit off the closed form instead.
     """
     if root not in allocation:
         raise UnknownNodeError(f"allocation has no entry for root {root}")
-    unit = as_fraction(unit_value)
-    factor = unit.denominator // gcd(allocation.denominator, unit.denominator)
-    numerators = {node: v * factor for node, v in allocation.numerators.items()}
-    denominator = allocation.denominator * factor
-    numerators[root] -= unit.numerator * (denominator // unit.denominator)
-    return Allocation(numerators, denominator)
+    return allocation + Allocation({root: -as_fraction(unit_value)})
 
 
 class IncrementalState:
@@ -230,11 +227,11 @@ class IncrementalState:
         """
         parents = self._parents
         if parent not in parents:
-            raise UnknownNodeError(f"unknown parent {parent!r}")
+            raise UnknownNodeError(f"unknown parent {excerpt(parent)}")
         if node in parents:
             raise TreeError(f"node {node} already joined")
         if node.__class__ is not int or node <= 0:
-            raise TreeError(f"node ids must be positive integers, got {node!r}")
+            raise TreeError(f"node ids must be positive integers, got {excerpt(node)}")
         parents[node] = parent
 
     def join(self, node: int, parent: int) -> Allocation:

@@ -8,8 +8,11 @@ other members, which is the part of a coalition that actually signed up.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from operator import lt
+
+from .allocation import excerpt
 
 Coalition = frozenset[int]
 """A set of node ids, interpreted against a particular tree."""
@@ -25,7 +28,7 @@ class UnknownNodeError(TreeError):
 
 def _check_id(i: int) -> None:
     if not isinstance(i, int) or isinstance(i, bool) or i <= 0:
-        raise TreeError(f"node ids must be positive integers, got {i!r}")
+        raise TreeError(f"node ids must be positive integers, got {excerpt(i)}")
 
 
 class RootedTree:
@@ -72,23 +75,12 @@ class RootedTree:
         nodes.update(parent_of)
         nodes.update(parent_of.values())
 
-        if root in parent_of:
-            # Distinguish a cycle running through the root from a plain
-            # "root has a parent" mistake.
-            seen = {root}
-            cur = parent_of[root]
-            while True:
-                if cur in seen:
-                    raise TreeError(f"cycle detected involving node {cur}")
-                seen.add(cur)
-                if cur not in parent_of:
-                    raise TreeError(f"root {root} has a parent")
-                cur = parent_of[cur]
-
         # A node whose parent has a depth takes the next; any other walks up,
-        # which doubles as cycle/reachability detection off the root.
-        depth: dict[int, int] = {root: 0}
-        for start in nodes:
+        # which doubles as cycle/reachability detection off the root. A root
+        # with a parent gets no depth and starts the first walk, which always
+        # raises: at a cycle through the root, or where the walk ends.
+        depth: dict[int, int] = {} if root in parent_of else {root: 0}
+        for start in itertools.chain((root,), nodes):
             if start in depth:
                 continue
             base = depth.get(parent_of.get(start))
@@ -104,6 +96,8 @@ class RootedTree:
                 chain.append(cur)
                 on_chain.add(cur)
                 if cur not in parent_of:
+                    if root in on_chain:
+                        raise TreeError(f"root {root} has a parent")
                     raise TreeError(f"node {cur} unreachable from root {root}")
                 cur = parent_of[cur]
             base = depth[cur]

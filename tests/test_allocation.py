@@ -108,7 +108,7 @@ def test_as_fraction_reads_literals_past_the_digit_limit():
             assert [as_fraction(text) for text in literals] == expected
     with pytest.raises(ValueError, match=r"Invalid literal for Fraction: '1/-2'"):
         as_fraction("1/-2")
-    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(7, 0\)$"):
+    with pytest.raises(ZeroDivisionError, match=r"^zero denominator$"):
         as_fraction("7/0")
 
 

@@ -1376,3 +1376,59 @@ def test_count_at_scale_matches_a_recount(scale_tree):
         assert main(["count", path]) == 0
     assert checker.pending == ""
     assert seen[1:] == list(range(1, SCALE_NODES + 1))
+
+
+LONG = "x" * 10**6
+
+# (command, file suffix, file text or None, extra flags): each run echoes an
+# input of 10^5 or 10^6 characters in its error.
+LONG_ECHOES = {
+    "edge id": ("compute", "json",
+                {"root": 1, "edges": [{"child": LONG, "parent": 1}]}, []),
+    "label key": ("compute", "json", {"root": 1, "edges": [], "labels": {LONG: "a"}}, []),
+    "tree field": ("compute", "json", {"root": 1, "edges": [], LONG: 1}, []),
+    "edge field": ("compute", "json",
+                   {"root": 1, "edges": [{"child": 2, "parent": 1, LONG: 1}]}, []),
+    "config field": ("compute", "config", {LONG: 1}, []),
+    "config mechanisms": ("compute", "config", {"mechanisms": [LONG]}, []),
+    "config exact": ("compute", "config", {"exact": [LONG]}, []),
+    "config limit_core": ("verify", "config", {"limit_core": [LONG]}, []),
+    "config output_format": ("compute", "config", {"output_format": LONG}, []),
+    "log line, three fields": ("stream", "log", "1 2 " + LONG + "\n", []),
+    "log line, four fields": ("stream", "log", "1 2 1 " + LONG + "\n", []),
+    # ids of 600 digits, which every digit limit reads
+    "log parent": ("stream", "log", "1 2 " + "9" * 600 + "\n", []),
+    "log node": ("stream", "log", "1 -" + "9" * 600 + " 1\n", []),
+    "log seq": ("stream", "log", "9" * 600 + " 2 5\n", []),
+    "mechanism flag": ("compute", None, None, ["--mechanism", "x" * 10**5]),
+}
+
+
+@pytest.mark.parametrize("case", LONG_ECHOES)
+def test_an_error_cuts_a_long_input_it_echoes(case, tmp_path, capsys):
+    command, suffix, content, extra = LONG_ECHOES[case]
+    args = [command, _golden_input(command)]
+    if suffix is not None:
+        path = tmp_path / f"input.{suffix}"
+        path.write_text(content if suffix == "log" else json.dumps(content))
+        if suffix == "config":
+            args += ["--config", str(path)]
+        else:
+            args[1] = str(path)
+    code, out, err = run(capsys, *args, *extra)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "Traceback" not in err and "… (" in err
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize("flag,literal", [
+    ("--ratio", "3/0"), ("--unit", "1" + "0" * 5000 + "/0"),
+], ids=["short", "long"])
+def test_a_zero_denominator_is_named_as_such(flag, literal, limit, capsys):
+    with _int_digit_limit(limit):
+        code, out, err = run(capsys, "compute", _golden_input("compute"), flag, literal)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.endswith(" as a rational: zero denominator\n")
+    assert "Fraction(" not in err and "set_int_max_str_digits" not in err

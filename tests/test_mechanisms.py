@@ -16,11 +16,14 @@ from treeshare import (
     compare,
     shapley_basic,
 )
+from treeshare.allocation import Allocation
+from treeshare.io import JoinEvent, replay_events
 from treeshare.mechanisms import (
     allocate_geometric,
     allocate_refer_a_friend,
     allocate_shapley_mechanism,
 )
+from treeshare.shapley import root_adjust
 from treeshare.tree import chain, star
 
 from conftest import random_tree_edges, root_path, shuffle_ids, subtree_level
@@ -209,6 +212,43 @@ def test_shapley_mechanism_totals():
     assert on.total == 5 * (tree.n - 1)
     assert off.total == 5 * tree.n
     assert off.rewards == shapley_basic(tree).scaled(5).rewards
+
+
+def test_shapley_mechanism_builds_two_allocations_the_size_of_the_tree(monkeypatch):
+    rng = random.Random(101)
+    tree = build_tree(*shuffle_ids(rng, random_tree_edges(rng, 300), 1))
+    sizes = []
+    init, owning = Allocation.__init__, Allocation.owning.__func__
+
+    def counted_init(self, *args):
+        init(self, *args)
+        sizes.append(len(self.numerators))
+
+    def counted_owning(cls, *args):
+        allocation = owning(cls, *args)
+        sizes.append(len(allocation.numerators))
+        return allocation
+
+    monkeypatch.setattr(Allocation, "__init__", counted_init)
+    monkeypatch.setattr(Allocation, "owning", classmethod(counted_owning))
+    allocate_shapley_mechanism(tree, EqualShares(Fraction(7, 3)))
+    assert sizes.count(tree.n) <= 2
+
+
+@pytest.mark.parametrize("unit", [1000, Fraction(7, 3), Fraction(-5, 2), 0])
+def test_shapley_mechanism_matches_the_stream_to_the_integer(unit):
+    rng = random.Random(103)
+    for n in (1, 2, 9, 60, 300):
+        edges, root = shuffle_ids(rng, random_tree_edges(rng, n), 1)
+        tree = build_tree(edges, root)
+        events = [JoinEvent(seq, c, p) for seq, (c, p) in enumerate(edges, 1)]
+        streamed = replay_events(events, root, root_adjust=True).allocation.scaled(unit)
+        for allocation in (
+            allocate_shapley_mechanism(tree, EqualShares(unit)),
+            root_adjust(shapley_basic(tree).scaled(unit), root, unit),
+        ):
+            assert allocation.denominator == streamed.denominator
+            assert allocation.numerators == streamed.numerators
 
 
 # -- comparison -------------------------------------------------------------------

@@ -50,6 +50,20 @@ def test_root_with_parent_rejected():
         build_tree([(1, 2)], 1)
 
 
+@pytest.mark.parametrize("edges,root,message", [
+    # A root with a parent is named before any other defect.
+    ([(10, 11), (11, 12), (2, 3), (4, 10)], 10, "root 10 has a parent"),
+    ([(5, 6), (6, 5), (2, 3), (7, 5)], 5, "cycle detected involving node 5"),
+    ([(1, 2), (3, 4), (4, 3)], 1, "root 1 has a parent"),
+    # Otherwise the walks meet the defects in the order of a set of the ids.
+    ([(2, 1), (3, 4), (4, 3), (5, 6)], 1, "cycle detected involving node 3"),
+    ([(2, 1), (3, 4), (5, 6), (6, 5)], 1, "node 4 unreachable from root 1"),
+])
+def test_a_tree_with_two_defects_names_the_first_one_met(edges, root, message):
+    with pytest.raises(TreeError, match=f"^{message}$"):
+        build_tree(edges, root)
+
+
 def test_self_loop_rejected():
     with pytest.raises(TreeError, match="cycle"):
         build_tree([(2, 2)], 1)

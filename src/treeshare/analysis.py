@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .allocation import Allocation, decimal_text
 from .games import TreeGame, basic_game, coalition_values_by_mask
@@ -19,8 +19,7 @@ from .shapley import SizeLimitError, shapley_basic, shapley_bruteforce, shapley_
 from .tree import Coalition, RootedTree
 
 
-@dataclass(frozen=True)
-class CoreCheckResult:
+class CoreCheckResult(NamedTuple):
     """Outcome of an exhaustive core membership check."""
 
     in_core: bool
@@ -76,8 +75,7 @@ def is_in_core(
     )
 
 
-@dataclass(frozen=True)
-class ConvexityResult:
+class ConvexityResult(NamedTuple):
     """Outcome of a convexity check, with a counterexample when it fails."""
 
     convex: bool
@@ -179,8 +177,7 @@ def is_complete_binary_tree(tree: RootedTree) -> bool:
     return tree.n == 2 ** (tree.height + 1) - 1 and widest <= 2
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(NamedTuple):
     """Per-node coalition counts for the three Shapley routes."""
 
     node: int
@@ -217,15 +214,13 @@ SKIPPED = "skipped"
 GENERAL_CHECK_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     status: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckOutcome, ...]
 
     @property

@@ -21,23 +21,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import lt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .allocation import Allocation, as_fraction, exact_and_display, excerpt
 from .games import LIMIT_CEILING
-from .mechanisms import (
-    GEOMETRIC,
-    MECHANISM_KINDS,
-    REFER_A_FRIEND,
-    SHAPLEY,
-    EqualShares,
-    Geometric,
-    MechanismSpec,
-    ReferAFriend,
-    RewardReport,
-)
 from .shapley import IncrementalState
 from .tree import RootedTree, build_tree
+
+if TYPE_CHECKING:  # loaded on use, so that only ``compute`` loads the allocators
+    from .mechanisms import MechanismSpec, RewardReport
 
 
 class InputFormatError(ValueError):
@@ -83,8 +75,7 @@ def _decode_json(text: str, what: str) -> object:
 
 # -- tree files ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeDocument:
+class TreeDocument(NamedTuple):
     """A parsed tree file: the validated tree plus optional display labels."""
 
     tree: RootedTree
@@ -142,6 +133,8 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
             raise InputFormatError(f"label for unknown node {node}")
         if not isinstance(name, str):
             raise InputFormatError(f"label for node {node} must be a JSON string")
+        if not name.isprintable():  # a newline or an escape would break the table
+            raise InputFormatError(f"unprintable label for node {node}: {excerpt(name)}")
         labels[node] = name
     return TreeDocument(tree=tree, labels=labels)
 
@@ -270,6 +263,13 @@ def replay_events(
 
 # -- run configuration ---------------------------------------------------
 
+# The mechanism kinds, in their default order. ``mechanisms`` names its spec
+# types by these, so a config is read without loading the allocators.
+REFER_A_FRIEND = "refer_a_friend"
+GEOMETRIC = "geometric"
+SHAPLEY = "shapley"
+MECHANISM_KINDS = (REFER_A_FRIEND, GEOMETRIC, SHAPLEY)
+
 _MECHANISM_ALIASES = {
     "refer-a-friend": REFER_A_FRIEND,
     "refer_a_friend": REFER_A_FRIEND,
@@ -320,15 +320,14 @@ class RunConfig:
 
     def mechanism_specs(self) -> list[MechanismSpec]:
         """One spec per requested mechanism, built only from its own fields."""
-        specs: list[MechanismSpec] = []
-        for kind in self.mechanisms:
-            if kind == REFER_A_FRIEND:
-                specs.append(ReferAFriend(self.unit, self.referrer_share))
-            elif kind == GEOMETRIC:
-                specs.append(Geometric(self.unit, self.ratio, self.normalize))
-            else:
-                specs.append(EqualShares(self.unit, self.root_adjust))
-        return specs
+        from .mechanisms import EqualShares, Geometric, ReferAFriend
+
+        make = {
+            REFER_A_FRIEND: lambda: ReferAFriend(self.unit, self.referrer_share),
+            GEOMETRIC: lambda: Geometric(self.unit, self.ratio, self.normalize),
+            SHAPLEY: lambda: EqualShares(self.unit, self.root_adjust),
+        }
+        return [make[kind]() for kind in self.mechanisms]
 
     def updated(self, **entries) -> "RunConfig":
         """A copy with the entries parsed and applied as config-file entries

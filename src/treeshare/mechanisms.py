@@ -21,16 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .allocation import Allocation, as_fraction, common_numerators
+from .io import GEOMETRIC, REFER_A_FRIEND, SHAPLEY
 from .shapley import shapley_basic
 from .tree import RootedTree
-
-REFER_A_FRIEND = "refer_a_friend"
-GEOMETRIC = "geometric"
-SHAPLEY = "shapley"
-MECHANISM_KINDS = (REFER_A_FRIEND, GEOMETRIC, SHAPLEY)
 
 
 @dataclass(frozen=True)
@@ -167,8 +163,7 @@ def allocate(tree: RootedTree, spec: MechanismSpec) -> Allocation:
     return _ALLOCATORS[spec.kind](tree, spec)
 
 
-@dataclass(frozen=True)
-class RewardReport:
+class RewardReport(NamedTuple):
     """Allocations for several mechanisms over one tree, plus a summary."""
 
     n: int

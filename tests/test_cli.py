@@ -573,6 +573,41 @@ def test_usage_error_is_input_error(capsys):
     assert "error" in err.lower()
 
 
+LONG = "x" * 10**5
+CUT = "'xxxxxxxxxxxxxxxxxxxx'… (100000 characters)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compute", "f9.json", "--format", LONG],
+     f"Invalid value for '--format': {CUT} is not one of 'table', 'records', 'csv'."),
+    (["verify", "f9.json", "--limit-core", LONG],
+     f"Invalid value for '--limit-core': {CUT} is not a valid integer."),
+    (["stream", "f9.log", "--root", LONG],
+     f"Invalid value for '--root': {CUT} is not a valid integer."),
+    (["compute", "f9.json", "--" + LONG],
+     "No such option '--xxxxxxxxxxxxxxxxxx'… (100002 characters)."),
+    (["count", "f9.json", LONG], f"Got unexpected extra argument ({CUT})"),
+], ids=["format", "limit-core", "root", "unknown-option", "extra-argument"])
+def test_a_usage_error_cuts_a_long_value(args, message, capsys):
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compute", "f9.json", "--fromat", "csv"],
+     "No such option '--fromat'. (Did you mean one of: '--format', '--ratio'?)"),
+    (["stream", "f9.log", "--root", "a\nb"],
+     "Invalid value for '--root': 'a\\nb' is not a valid integer."),
+    (["count", "f9.json", "it's", "a'b"], "Got unexpected extra arguments (it's a'b)"),
+    (["compute"], "Missing argument 'TREEFILE'."),
+], ids=["unknown-option", "newline", "quotes", "missing-argument"])
+def test_a_short_usage_error_is_printed_as_click_wrote_it(args, message, capsys):
+    code, _, err = run(capsys, *args)
+    assert (code, err) == (1, f"error: {message}\n")
+
+
 def test_verify_failure_exits_two(example_file, capsys, monkeypatch):
     # A failing check is unreachable with honest engines (the theorems hold),
     # so inject one to pin the exit-code contract.

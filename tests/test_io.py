@@ -108,6 +108,20 @@ def test_label_values_that_are_not_strings_are_rejected(name):
         parse_tree_file(doc)
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\tb", "\x1b[31mred"])
+def test_labels_that_would_break_the_table_are_rejected(name):
+    doc = json.dumps({"root": 1, "edges": [], "labels": {"1": name}})
+    message = f"unprintable label for node 1: {name!r}"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_tree_file(doc)
+
+
+@pytest.mark.parametrize("name", ["carol", "José", "a b", ""])
+def test_printable_labels_are_kept(name):
+    doc = json.dumps({"root": 1, "edges": [], "labels": {"1": name}})
+    assert parse_tree_file(doc).labels == {1: name}
+
+
 @pytest.mark.parametrize("key", ["1_0", " 1 ", "01", "+1", "\uff11", "1.0", "", "None"])
 def test_label_keys_must_be_the_canonical_text_of_an_id(key):
     # int() would read each of these (but the last three) as node 1 or 10.

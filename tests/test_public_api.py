@@ -1,17 +1,27 @@
-"""The package's top-level names are the ones README documents, and its
-quick tour runs as written."""
+"""The package's top-level names are the ones README documents, they load
+their modules on first use, each command loads only the modules it runs, and
+README's quick tour runs as written."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import treeshare
 from treeshare import Allocation
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_all_matches_the_public_api_list_in_readme():
@@ -55,3 +65,62 @@ def test_readme_quick_tour_shows_what_it_computes():
             assert value == eval("\n".join(result), {"Fraction": Fraction}), result
             checked += 1
     assert checked == 4
+
+
+def _child(code: str, *args: str) -> object:
+    """What ``code`` prints as JSON when run by a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout)
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('treeshare.'))"
+
+
+def test_importing_the_package_loads_no_module_and_dir_lists_every_name():
+    loaded, names = _child(
+        f"import json, sys, treeshare; print(json.dumps([{LOADED}, dir(treeshare)]))")
+    assert loaded == []
+    assert set(treeshare.__all__) <= set(names)
+
+
+RUN_COMMAND = f"""
+import contextlib, io, json, sys
+from treeshare.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, {LOADED}]))
+"""
+SHARED = ["allocation", "cli", "games", "io", "shapley", "tree"]
+
+
+@pytest.mark.parametrize("args, also", [
+    (["stream", "--quiet", "f9.log"], []),
+    (["compute", "f9.json"], ["mechanisms"]),
+    (["verify", "f9.json"], ["analysis"]),
+    (["count", "f9.json"], ["analysis"]),
+], ids=["stream", "compute", "verify", "count"])
+def test_each_command_loads_only_the_modules_it_runs(args, also):
+    *flags, name = args
+    code, loaded = _child(RUN_COMMAND, *flags, str(GOLDEN / name))
+    assert code == 0
+    assert loaded == [f"treeshare.{m}" for m in sorted(SHARED + also)]
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    for name, module in treeshare._EXPORTS.items():
+        assert getattr(treeshare, name) is getattr(
+            import_module(f"treeshare.{module}"), name)
+    namespace: dict = {}
+    exec("from treeshare import *", namespace)
+    assert {n: namespace[n] for n in treeshare.__all__} == {
+        n: getattr(treeshare, n) for n in treeshare.__all__}
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        treeshare.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from treeshare import no_such_name", {})

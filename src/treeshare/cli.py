@@ -5,9 +5,7 @@ Exit codes: 0 on success, 1 on input errors, 2 on verification failure.
 
 from __future__ import annotations
 
-import re
 import sys
-from ast import literal_eval
 
 # Our modules are imported before click on purpose: compiled after it, they
 # raised a run's peak memory by about 0.3 MiB. ``analysis`` and ``mechanisms``
@@ -26,7 +24,7 @@ from .io import (
     replay_events,
 )
 
-import click  # noqa: E402
+import click
 
 
 # Verbose ``stream`` writes its delta lines in chunks of at most this many.
@@ -255,21 +253,17 @@ def count(treefile, strict) -> None:
         ) + "\n")
 
 
-# A value in one of click's messages: quoted, as ``repr`` writes it, or a bare
-# run such as an unexpected extra argument. Compiled on the first usage error.
-_MESSAGE_VALUE = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|[^\s'"()]{41,}"""
-
-
-def _cut_value(match: re.Match) -> str:
-    """A value of more than 40 characters cut as ``excerpt`` cuts it, so that
-    a usage error never echoes a long argument whole."""
-    text = match[0]
-    if len(text) <= 40:
-        return text
-    try:
-        return excerpt(literal_eval(text) if text[0] in "'\"" else text)
-    except (SyntaxError, ValueError):  # quotes inside a bare argument
-        return excerpt(text)
+def _cut_arguments(message: str, args: list[str]) -> str:
+    """click's message with each argument it echoes, quoted as ``repr``
+    writes it or bare, cut as ``excerpt`` cuts it when longer than 40
+    characters or not printable, so that a usage error is one short line.
+    Either side of ``--option=value`` counts as an argument too."""
+    values = {value for arg in args for value in (arg, *arg.partition("=")[::2])}
+    for value in sorted(values, key=len, reverse=True):  # one may hold another
+        if len(value) > 40 or not value.isprintable():
+            cut = excerpt(value)
+            message = message.replace(repr(value), cut).replace(value, cut)
+    return message
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -277,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
-        message = re.sub(_MESSAGE_VALUE, _cut_value, exc.format_message())
-        click.echo(f"error: {message}", err=True)
+        args = sys.argv[1:] if argv is None else argv
+        click.echo(f"error: {_cut_arguments(exc.format_message(), args)}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()

@@ -573,23 +573,34 @@ def test_usage_error_is_input_error(capsys):
     assert "error" in err.lower()
 
 
-LONG = "x" * 10**5
+LONG_ARG = "x" * 10**5
 CUT = "'xxxxxxxxxxxxxxxxxxxx'… (100000 characters)"
+QUOTES = "'\\"  # a quote and a backslash
 
 
 @pytest.mark.parametrize("args, message", [
-    (["compute", "f9.json", "--format", LONG],
+    (["compute", "f9.json", "--format", LONG_ARG],
      f"Invalid value for '--format': {CUT} is not one of 'table', 'records', 'csv'."),
-    (["verify", "f9.json", "--limit-core", LONG],
+    (["verify", "f9.json", "--limit-core", LONG_ARG],
      f"Invalid value for '--limit-core': {CUT} is not a valid integer."),
-    (["stream", "f9.log", "--root", LONG],
+    (["stream", "f9.log", "--root", LONG_ARG],
      f"Invalid value for '--root': {CUT} is not a valid integer."),
-    (["compute", "f9.json", "--" + LONG],
+    (["compute", "f9.json", "--" + LONG_ARG],
      "No such option '--xxxxxxxxxxxxxxxxxx'… (100002 characters)."),
-    (["count", "f9.json", LONG], f"Got unexpected extra argument ({CUT})"),
-], ids=["format", "limit-core", "root", "unknown-option", "extra-argument"])
+    (["compute", "f9.json", f"--format={LONG_ARG}"],
+     f"Invalid value for '--format': {CUT} is not one of 'table', 'records', 'csv'."),
+    (["count", "f9.json", LONG_ARG], f"Got unexpected extra argument ({CUT})"),
+    (["count", "f9.json", "x" * 41 + LONG_ARG, "x" * 41],
+     "Got unexpected extra arguments ('xxxxxxxxxxxxxxxxxxxx'… (100041 characters) "
+     "'xxxxxxxxxxxxxxxxxxxx'… (41 characters))"),
+    (["count", "f9.json", QUOTES * 50000],
+     f"Got unexpected extra argument ({QUOTES * 10!r}… (100000 characters))"),
+], ids=["format", "limit-core", "root", "unknown-option", "format-equals",
+        "extra-argument", "one-inside-another", "quotes-and-backslashes"])
 def test_a_usage_error_cuts_a_long_value(args, message, capsys):
+    start = time.perf_counter()
     code, out, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
@@ -601,8 +612,9 @@ def test_a_usage_error_cuts_a_long_value(args, message, capsys):
     (["stream", "f9.log", "--root", "a\nb"],
      "Invalid value for '--root': 'a\\nb' is not a valid integer."),
     (["count", "f9.json", "it's", "a'b"], "Got unexpected extra arguments (it's a'b)"),
+    (["count", "f9.json", "a\nb"], "Got unexpected extra argument ('a\\nb')"),
     (["compute"], "Missing argument 'TREEFILE'."),
-], ids=["unknown-option", "newline", "quotes", "missing-argument"])
+], ids=["unknown-option", "newline", "quotes", "bare-newline", "missing-argument"])
 def test_a_short_usage_error_is_printed_as_click_wrote_it(args, message, capsys):
     code, _, err = run(capsys, *args)
     assert (code, err) == (1, f"error: {message}\n")

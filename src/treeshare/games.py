@@ -9,7 +9,6 @@ never actually joined.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -32,12 +31,13 @@ class MissingCoalitionValueError(LookupError):
     """An explicit value function was queried on a set it does not cover."""
 
 
-@dataclass(frozen=True)
 class ValueFunction:
-    """A value assignment over trimmed coalitions: one frozen type per class.
+    """A value assignment over trimmed coalitions: one type per class.
 
-    Build one with a constructor; each type carries and checks only its own
-    data, and checks that data against the tree when a ``TreeGame`` is made.
+    Build one with a constructor; each type coerces and checks only its own
+    data when built, and checks that data against the tree when a
+    ``TreeGame`` is made. Like a ``RootedTree``, it never changes after
+    construction.
 
     * ``basic()`` -- one unit per connected member (value = size). Carries
       nothing. ``shapley_value`` takes the O(n) closed form, at any scale.
@@ -56,11 +56,10 @@ class ValueFunction:
     scaling and keeps the type.
     """
 
-    scale: Fraction = field(default=Fraction(1), kw_only=True)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         if type(self) is ValueFunction:
             raise TypeError("build a ValueFunction with one of its constructors")
+        self.scale = Fraction(1)
 
     @classmethod
     def basic(cls) -> "ValueFunction":
@@ -68,14 +67,11 @@ class ValueFunction:
 
     @classmethod
     def size_based(cls, weights: Iterable[RationalLike]) -> "ValueFunction":
-        table = tuple(as_fraction(w) for w in weights)
-        if not table or table[0] != 0:
-            raise ValueError("size table must start with 0 for the empty set")
-        return _SizeBased(table)
+        return _SizeBased(weights)
 
     @classmethod
     def linear(cls, weights: Mapping[int, RationalLike]) -> "ValueFunction":
-        return _Linear({int(i): as_fraction(w) for i, w in weights.items()})
+        return _Linear(weights)
 
     @classmethod
     def explicit(
@@ -83,19 +79,13 @@ class ValueFunction:
         values: Mapping[Iterable[int], RationalLike]
         | Iterable[tuple[Iterable[int], RationalLike]],
     ) -> "ValueFunction":
-        pairs = values.items() if isinstance(values, Mapping) else values
-        table: dict[Coalition, Fraction] = {}
-        for members, value in pairs:
-            key = frozenset(members)
-            if key in table:
-                raise ValueError(f"duplicate value for coalition {sorted(key)}")
-            table[key] = as_fraction(value)
-        if table.pop(frozenset(), 0) != 0:
-            raise ValueError("the empty coalition must be worth 0")
-        return _Explicit(table)
+        return _Explicit(values)
 
     def scaled(self, k: RationalLike) -> "ValueFunction":
-        return replace(self, scale=self.scale * as_fraction(k))
+        """The same type and data, checked once already, at ``scale * k``."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), scale=self.scale * as_fraction(k))
+        return twin
 
     def of(self, members: Coalition) -> Fraction:
         """Value of an already-trimmed coalition."""
@@ -108,15 +98,17 @@ class ValueFunction:
         """Raise ``ValueError`` if this function's data does not fit ``tree``."""
 
 
-@dataclass(frozen=True)
 class _Basic(ValueFunction):
     def _value(self, members: Coalition) -> Fraction:
         return Fraction(len(members))
 
 
-@dataclass(frozen=True)
 class _SizeBased(ValueFunction):
-    weights: tuple[Fraction, ...]
+    def __init__(self, weights: Iterable[RationalLike]) -> None:
+        super().__init__()
+        self.weights = tuple(map(as_fraction, weights))
+        if not self.weights or self.weights[0] != 0:
+            raise ValueError("size table must start with 0 for the empty set")
 
     def _value(self, members: Coalition) -> Fraction:
         return self.weights[len(members)]
@@ -129,9 +121,10 @@ class _SizeBased(ValueFunction):
             )
 
 
-@dataclass(frozen=True)
 class _Linear(ValueFunction):
-    weights: Mapping[int, Fraction]
+    def __init__(self, weights: Mapping[int, RationalLike]) -> None:
+        super().__init__()
+        self.weights = {int(i): as_fraction(w) for i, w in weights.items()}
 
     def _value(self, members: Coalition) -> Fraction:
         return sum((self.weights[i] for i in members), Fraction(0))
@@ -145,9 +138,18 @@ class _Linear(ValueFunction):
             raise ValueError(f"weights given for unknown nodes {sorted(extra)}")
 
 
-@dataclass(frozen=True)
 class _Explicit(ValueFunction):
-    table: Mapping[Coalition, Fraction]
+    def __init__(self, values: Mapping | Iterable[tuple]) -> None:
+        super().__init__()
+        pairs = values.items() if isinstance(values, Mapping) else values
+        self.table: dict[Coalition, Fraction] = {}
+        for members, value in pairs:
+            key = frozenset(members)
+            if key in self.table:
+                raise ValueError(f"duplicate value for coalition {sorted(key)}")
+            self.table[key] = as_fraction(value)
+        if self.table.pop(frozenset(), 0) != 0:
+            raise ValueError("the empty coalition must be worth 0")
 
     def _value(self, members: Coalition) -> Fraction:
         try:
@@ -166,15 +168,14 @@ class _Explicit(ValueFunction):
                 )
 
 
-@dataclass(frozen=True)
 class TreeGame:
-    """A tree plus a value function over its trimmed coalitions."""
+    """A tree plus a value function over its trimmed coalitions, checked to
+    fit each other when built; neither changes afterwards."""
 
-    tree: RootedTree
-    f: ValueFunction
-
-    def __post_init__(self) -> None:
-        self.f._check_fits(self.tree)
+    def __init__(self, tree: RootedTree, f: ValueFunction) -> None:
+        f._check_fits(tree)
+        self.tree = tree
+        self.f = f
 
 
 def basic_game(tree: RootedTree) -> TreeGame:

@@ -17,7 +17,6 @@ import json
 import re
 import sys
 from collections.abc import Callable, Generator, Iterable, Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import lt
@@ -280,19 +279,33 @@ _MECHANISM_ALIASES = {
 OUTPUT_FORMATS = ("table", "records", "csv")
 
 
-def normalize_mechanism_name(name: str) -> str:
-    try:
-        return _MECHANISM_ALIASES[str(name).strip().lower()]
-    except KeyError:
-        raise InputFormatError(
-            f"unknown mechanism {excerpt(name)}; expected one of "
-            f"{sorted(set(_MECHANISM_ALIASES))}"
-        ) from None
+def _mechanism_names(value: object) -> tuple[str, ...]:
+    """One mechanism name or a list of them, each read through its aliases."""
+    kinds = []
+    for name in value if isinstance(value, (list, tuple)) else (value,):
+        kind = _MECHANISM_ALIASES.get(str(name).strip().lower())
+        if kind is None:
+            raise ValueError(f"unknown mechanism {excerpt(name)}; expected one of "
+                             f"{sorted(_MECHANISM_ALIASES)}")
+        kinds.append(kind)
+    return tuple(kinds)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run needs, merged from config file and flags."""
+def _output_format(value: object) -> str:
+    """One of ``OUTPUT_FORMATS``, as text."""
+    text = str(value)
+    if text not in OUTPUT_FORMATS:
+        raise ValueError(f"unknown output format {excerpt(text)}; "
+                         f"expected one of {OUTPUT_FORMATS}")
+    return text
+
+
+class RunConfig(NamedTuple):
+    """Everything a command run needs, merged from config file and flags.
+
+    A bare ``RunConfig(...)`` checks nothing: input is read through
+    ``config_from_mapping`` and ``updated``, whose field parsers check it.
+    """
 
     mechanisms: tuple[str, ...] = MECHANISM_KINDS
     unit: Fraction = Fraction(1)
@@ -306,35 +319,24 @@ class RunConfig:
     output_format: str = "table"
     exact: bool = False
 
-    def __post_init__(self) -> None:
-        if self.output_format not in OUTPUT_FORMATS:
-            raise InputFormatError(
-                f"unknown output format {excerpt(self.output_format)}; "
-                f"expected one of {OUTPUT_FORMATS}"
-            )
-        object.__setattr__(
-            self,
-            "mechanisms",
-            tuple(normalize_mechanism_name(m) for m in self.mechanisms),
-        )
-
     def mechanism_specs(self) -> list[MechanismSpec]:
-        """One spec per requested mechanism, built only from its own fields."""
+        """One spec per requested mechanism, in order. All three are built,
+        so that each spec type checks its own fields, requested or not."""
         from .mechanisms import EqualShares, Geometric, ReferAFriend
 
-        make = {
-            REFER_A_FRIEND: lambda: ReferAFriend(self.unit, self.referrer_share),
-            GEOMETRIC: lambda: Geometric(self.unit, self.ratio, self.normalize),
-            SHAPLEY: lambda: EqualShares(self.unit, self.root_adjust),
-        }
-        return [make[kind]() for kind in self.mechanisms]
+        specs = {spec.kind: spec for spec in (
+            ReferAFriend(self.unit, self.referrer_share),
+            Geometric(self.unit, self.ratio, self.normalize),
+            EqualShares(self.unit, self.root_adjust),
+        )}
+        return [specs[kind] for kind in self.mechanisms]
 
     def updated(self, **entries) -> "RunConfig":
         """A copy with the entries parsed and applied as config-file entries
         are; an entry that is None or empty (a flag not given) keeps its field.
         """
         given = {k: v for k, v in entries.items() if v is not None and v != ()}
-        return replace(self, **_parse_fields(given)) if given else self
+        return self._replace(**_parse_fields(given)) if given else self
 
 
 def _json_bool(value: object) -> bool:
@@ -359,7 +361,7 @@ def _json_limit(value: object) -> int:
 
 
 _CONFIG_PARSERS: dict[str, Callable] = {
-    "mechanisms": lambda v: tuple(v) if isinstance(v, (list, tuple)) else (v,),
+    "mechanisms": _mechanism_names,
     "unit": parse_rational,
     "root_adjust": _json_bool,
     "ratio": parse_rational,
@@ -368,7 +370,7 @@ _CONFIG_PARSERS: dict[str, Callable] = {
     "limit_bruteforce": _json_limit,
     "limit_core": _json_limit,
     "limit_convex": _json_limit,
-    "output_format": str,
+    "output_format": _output_format,
     "exact": _json_bool,
 }
 
@@ -468,7 +470,7 @@ def render_report(
         for name, cells in grid
     ]
     summary = (
-        f"nodes={report.n} height={report.height} referrals={report.referral_count}"
+        f"nodes={report.n} height={report.height} referrals={report.n - 1}"
     )
     return "\n".join(lines + [summary]) + "\n"
 

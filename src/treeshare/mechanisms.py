@@ -12,64 +12,60 @@ Three schemes over the same tree, each with a spec type of its own:
   invitee and all of its ancestors, optionally charging the root one unit
   for its free signup.
 
-A spec carries only its own mechanism's parameters. Its ``unit_value`` is the
-reward pool per successful referral (for example 1000 MB per 1 GB-valued
-referral); rationals are coerced with ``as_fraction``.
+A spec carries only its own mechanism's parameters, coerced with
+``as_fraction`` and checked when it is built, and never changes afterwards.
+Its ``unit_value`` is the reward pool per successful referral (for example
+1000 MB per 1 GB-valued referral).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .allocation import Allocation, as_fraction, common_numerators
+from .games import RationalLike
 from .io import GEOMETRIC, REFER_A_FRIEND, SHAPLEY
 from .shapley import shapley_basic
 from .tree import RootedTree
 
 
-@dataclass(frozen=True)
 class ReferAFriend:
     """Refer-a-friend: ``referrer_share`` of each unit goes to the referrer."""
 
-    kind: ClassVar[str] = REFER_A_FRIEND
-    unit_value: Fraction = Fraction(1)
-    referrer_share: Fraction = Fraction(1, 2)
+    kind = REFER_A_FRIEND
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
-        object.__setattr__(self, "referrer_share", as_fraction(self.referrer_share))
+    def __init__(self, unit_value: RationalLike = 1,
+                 referrer_share: RationalLike = Fraction(1, 2)) -> None:
+        self.unit_value = as_fraction(unit_value)
+        self.referrer_share = as_fraction(referrer_share)
         if not 0 <= self.referrer_share <= 1:
             raise ValueError("referrer share must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
 class Geometric:
     """Geometric: shares decay by ``ratio`` per level, optionally normalised."""
 
-    kind: ClassVar[str] = GEOMETRIC
-    unit_value: Fraction = Fraction(1)
-    ratio: Fraction = Fraction(1, 2)
-    normalize: bool = True
+    kind = GEOMETRIC
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
-        object.__setattr__(self, "ratio", as_fraction(self.ratio))
+    def __init__(self, unit_value: RationalLike = 1,
+                 ratio: RationalLike = Fraction(1, 2),
+                 normalize: bool = True) -> None:
+        self.unit_value = as_fraction(unit_value)
+        self.ratio = as_fraction(ratio)
+        self.normalize = normalize
         if not 0 < self.ratio < 1:
             raise ValueError("geometric ratio must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
 class EqualShares:
     """Equal shares (Shapley), optionally charging the root for its signup."""
 
-    kind: ClassVar[str] = SHAPLEY
-    unit_value: Fraction = Fraction(1)
-    root_adjust: bool = True
+    kind = SHAPLEY
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_value", as_fraction(self.unit_value))
+    def __init__(self, unit_value: RationalLike = 1, root_adjust: bool = True) -> None:
+        self.unit_value = as_fraction(unit_value)
+        self.root_adjust = root_adjust
 
 
 MechanismSpec = ReferAFriend | Geometric | EqualShares
@@ -168,7 +164,6 @@ class RewardReport(NamedTuple):
 
     n: int
     height: int
-    referral_count: int
     results: tuple[tuple[MechanismSpec, Allocation], ...]
 
     def allocations(self) -> list[Allocation]:
@@ -186,9 +181,4 @@ def compare(tree: RootedTree, specs: list[MechanismSpec]) -> RewardReport:
     if not specs:
         raise ValueError("at least one mechanism spec is required")
     results = tuple((spec, allocate(tree, spec)) for spec in specs)
-    return RewardReport(
-        n=tree.n,
-        height=tree.height,
-        referral_count=tree.n - 1,
-        results=results,
-    )
+    return RewardReport(n=tree.n, height=tree.height, results=results)

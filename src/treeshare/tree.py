@@ -36,12 +36,11 @@ class RootedTree:
 
     Nodes are stored densely in a canonical parent-before-child order, as a
     parent array and depths; the public surface always speaks original ids.
-    Children and subtree heights are worked out on request (``children(i)``
-    is O(n)), and every bottom-up pass folds each child into its parent in
-    reverse canonical order. Instances never change after construction and
-    are safe to share across threads; the one cache, of trimmed-coalition
-    counts, is filled on first use with the same value whichever thread
-    fills it.
+    No child lists are kept: every bottom-up pass folds each child into its
+    parent in reverse canonical order. Instances never change after
+    construction and are safe to share across threads; the one cache, of
+    trimmed-coalition counts, is filled on first use with the same value
+    whichever thread fills it.
     """
 
     __slots__ = (
@@ -170,18 +169,9 @@ class RootedTree:
         p = self._parents[self._rank_of(i)]
         return None if p < 0 else self._ids[p]
 
-    def children(self, i: int) -> tuple[int, ...]:
-        """Child ids of ``i`` in ascending order, by an O(n) scan."""
-        r = self._rank_of(i)
-        return tuple(self._ids[c] for c, p in enumerate(self._parents) if p == r)
-
     def depth(self, i: int) -> int:
         """Number of edges between ``i`` and the root."""
         return self._depths[self._rank_of(i)]
-
-    def height_of_subtree(self, i: int) -> int:
-        """Height of the subtree hanging from ``i`` (0 for a leaf)."""
-        return self._subtree_heights()[self._rank_of(i)]
 
     # -- trimming ----------------------------------------------------------
 

@@ -104,11 +104,23 @@ def root_path(tree: RootedTree, i: int) -> frozenset[int]:
     return frozenset(path)
 
 
+def children(tree: RootedTree, i: int) -> tuple[int, ...]:
+    """Child ids of ``i`` in ascending order, from every node's parent."""
+    return tuple(c for c in tree.node_ids if tree.parent(c) == i)
+
+
+def subtree_height(tree: RootedTree, i: int) -> int:
+    """Height of the subtree hanging from ``i`` (0 for a leaf): the deepest
+    node whose root path passes through ``i``, less the depth of ``i``."""
+    return max(tree.depth(j) for j in tree.node_ids
+               if i in root_path(tree, j)) - tree.depth(i)
+
+
 def adjacent(tree: RootedTree, members) -> frozenset[int]:
     """Nodes outside the coalition with an edge into it."""
     edges = set()
     for i in members:
-        edges.update(tree.children(i))
+        edges.update(children(tree, i))
         edges.add(tree.parent(i))
     return frozenset(edges - set(members) - {None})
 
@@ -117,7 +129,7 @@ def subtree_level(tree: RootedTree, i: int, j: int) -> frozenset[int]:
     """The nodes ``j`` levels below ``i``."""
     level = {i}
     for _ in range(j):
-        level = {c for k in level for c in tree.children(k)}
+        level = {c for k in level for c in children(tree, k)}
     return frozenset(level)
 
 

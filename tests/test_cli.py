@@ -11,6 +11,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import floor
 from pathlib import Path
 
 import click
@@ -32,7 +33,7 @@ from treeshare.io import (
 )
 from treeshare.mechanisms import compare
 
-from conftest import _int_digit_limit, random_tree_edges, shuffle_ids
+from conftest import F9_EDGES, _int_digit_limit, random_tree_edges, shuffle_ids
 
 EXAMPLE_DOC = json.dumps(
     {
@@ -775,13 +776,28 @@ def test_bad_config_entry_fails_even_when_a_flag_overrides_it(
     assert "Traceback" not in err
 
 
-def test_unused_mechanism_parameter_is_not_validated(capsys):
-    # A ratio matters only to the geometric mechanism.
-    code, out, _ = run(capsys, "compute", _golden_input("compute"),
-                       "--mechanism", "shapley", "--ratio", "1")
-    assert code == 0
-    assert out == run(capsys, "compute", _golden_input("compute"),
-                      "--mechanism", "shapley")[1]
+RATIO_ERROR = "error: geometric ratio must lie strictly between 0 and 1\n"
+SHARE_ERROR = "error: referrer share must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("flags, entries, err", [
+    (["--ratio", "1"], None, RATIO_ERROR),
+    (["--ratio", "2", "--referrer-share", "7"], None, SHARE_ERROR),
+    (["--referrer-share", "-1/2"], None, SHARE_ERROR),
+    ([], {"ratio": 2}, RATIO_ERROR),
+    ([], {"referrer_share": "7"}, SHARE_ERROR),
+], ids=["ratio-flag", "both-flags", "share-flag", "ratio-entry", "share-entry"])
+def test_out_of_range_parameter_of_an_unrun_mechanism_exits_1(
+    flags, entries, err, tmp_path, capsys
+):
+    # Every spec checks its own parameters, whichever mechanisms run.
+    if entries is None:
+        flags = ["--mechanism", "shapley", *flags]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mechanisms": ["shapley"], **entries}))
+        flags = ["--config", str(config)]
+    assert run(capsys, "compute", _golden_input("compute"), *flags) == (1, "", err)
 
 
 # -- unreadable and malformed input files --------------------------------------------
@@ -1306,6 +1322,75 @@ def test_long_units_and_ratios_print_like_unlimited_str(command, unit, ratio, fl
     result, reference = _long_number_runs(argv)
     assert result[0] == 0, result[2]
     assert result == reference
+
+
+def _digit_run(length: int, seed: int) -> str:
+    """``length`` random decimal digits, the first one nonzero."""
+    rng = random.Random(seed)
+    return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=length - 1))
+
+
+DIGIT_RUNS = st.builds(_digit_run, st.integers(1, 20) | st.integers(2_000, 5_000),
+                       st.integers(0, 2**32))
+SIGNS = st.sampled_from(["", "-"])
+# Integers, decimals and p/q written out in full, not as exponents: up to
+# 10^4 digits, past the 4300 that Fraction(str) reads under the default limit.
+LONG_UNIT_LITERALS = st.one_of(
+    st.builds("{}{}{}".format, SIGNS, DIGIT_RUNS, DIGIT_RUNS),
+    st.builds("{}{}.{}".format, SIGNS, DIGIT_RUNS, DIGIT_RUNS),
+    st.builds("{}{}/{}".format, SIGNS, DIGIT_RUNS, DIGIT_RUNS),
+)
+# Strictly between 0 and 1: q has p's digits with a nonzero run before them.
+LONG_RATIO_LITERALS = st.builds("0.{}".format, DIGIT_RUNS) | st.builds(
+    "{0}/{1}{0}".format, DIGIT_RUNS, DIGIT_RUNS)
+
+
+def _f9_rewards(unit: Fraction, ratio: Fraction) -> dict[str, dict[int, Fraction]]:
+    """Each mechanism's rewards on f9 at the default settings, from the
+    definitions: refer-a-friend halves each referral's unit between invitee
+    and referrer; geometric pays ``ratio**distance`` per strict descendant,
+    scaled to pay the pool ``8 * unit``; shapley shares each member's unit
+    equally among it and its ancestors, and charges the root one unit."""
+    parent = dict(F9_EDGES)
+    up = {i: [i] for i in range(1, 10)}  # each node, then its ancestors
+    for path in up.values():
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+    raw = {i: sum(ratio ** up[j].index(i) for j in up if i in up[j][1:]) for i in up}
+    return {
+        "refer_a_friend": {i: unit / 2 * ((i != 1) + list(parent.values()).count(i))
+                           for i in up},
+        "geometric": {i: 8 * unit * raw[i] / sum(raw.values()) for i in up},
+        "shapley": {i: unit * (sum(Fraction(1, len(up[j])) for j in up if i in up[j])
+                               - (i == 1)) for i in up},
+    }
+
+
+def _csv_row(value: Fraction) -> str:
+    """``exact,display`` for a reward, rounded half away from zero."""
+    magnitude = floor(abs(value) + Fraction(1, 2))
+    return f"{value},{magnitude if value >= 0 else -magnitude}"
+
+
+@settings(max_examples=8, deadline=None)
+@given(unit=LONG_UNIT_LITERALS, ratio=LONG_RATIO_LITERALS)
+def test_long_written_out_literals_give_exact_rewards(unit, ratio):
+    csv = ["--format", "csv", "--exact", "--unit", unit]
+    with _int_digit_limit(4300):
+        computed = _main_output(["compute", _golden_input("compute"), *csv,
+                                 "--ratio", ratio])
+        streamed = _main_output(["stream", _golden_input("stream"), "--quiet", *csv])
+    with _int_digit_limit(0):  # the reference writes every digit with str
+        rewards = _f9_rewards(Fraction(unit), Fraction(ratio))
+        expected_compute = "".join(
+            ["mechanism,node,exact,display\n"]
+            + [f"{kind},{i},{_csv_row(value)}\n"
+               for kind, by_node in rewards.items() for i, value in by_node.items()])
+        expected_stream = "".join(
+            ["node,exact,display\n"]
+            + [f"{i},{_csv_row(value)}\n" for i, value in rewards["shapley"].items()])
+    assert computed == (0, expected_compute, "")
+    assert streamed == (0, expected_stream, "")
 
 
 # -- verify and count at scale ----------------------------------------------------

@@ -468,12 +468,14 @@ def test_config_defaults_and_overrides():
 
 
 def test_config_mechanism_aliases_and_validation():
-    config = RunConfig(mechanisms=("refer-a-friend", "SHAPLEY"))
+    config = config_from_mapping({"mechanisms": ["refer-a-friend", "SHAPLEY"]})
     assert config.mechanisms == ("refer_a_friend", "shapley")
-    with pytest.raises(InputFormatError, match="unknown mechanism"):
-        RunConfig(mechanisms=("lottery",))
-    with pytest.raises(InputFormatError, match="output format"):
-        RunConfig(output_format="xml")
+    with pytest.raises(InputFormatError,
+                       match="^config field 'mechanisms': unknown mechanism"):
+        config_from_mapping({"mechanisms": ["lottery"]})
+    with pytest.raises(InputFormatError,
+                       match="^config field 'output_format': unknown output format"):
+        config_from_mapping({"output_format": "xml"})
 
 
 def test_config_from_mapping():

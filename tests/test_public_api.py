@@ -1,12 +1,13 @@
 """The package's top-level names are the ones README documents, they load
-their modules on first use, each command loads only the modules it runs, and
-README's quick tour runs as written."""
+their modules on first use, each command loads only the modules it runs, no
+module loads ``dataclasses``, and README's quick tour runs as written."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -107,6 +108,18 @@ def test_each_command_loads_only_the_modules_it_runs(args, also):
     code, loaded = _child(RUN_COMMAND, *flags, str(GOLDEN / name))
     assert code == 0
     assert loaded == [f"treeshare.{m}" for m in sorted(SHARED + also)]
+
+
+def test_no_module_loads_dataclasses():
+    # ``cli`` is left out, so that click's own imports do not count.
+    names = sorted(m.name for m in pkgutil.iter_modules(treeshare.__path__)
+                   if m.name != "cli")
+    loaded, dataclasses = _child(
+        "import importlib, json, sys\n"
+        "for name in sys.argv[1:]: importlib.import_module('treeshare.' + name)\n"
+        f"print(json.dumps([{LOADED}, 'dataclasses' in sys.modules]))", *names)
+    assert loaded == [f"treeshare.{m}" for m in names]
+    assert not dataclasses
 
 
 def test_every_public_name_is_the_object_its_module_defines():

@@ -36,6 +36,7 @@ from conftest import (
     seeded_trees,
     shapley_by_permutations,
     shuffle_ids,
+    subtree_height,
     subtree_level,
 )
 from test_games import GAME_KINDS, count_value_calls, random_explicit_game, random_game
@@ -112,7 +113,7 @@ def test_basic_matches_per_node_level_sum(f9):
     for i in f9.node_ids:
         expected = sum(
             Fraction(len(subtree_level(f9, i, j)), f9.depth(i) + j + 1)
-            for j in range(f9.height_of_subtree(i) + 1)
+            for j in range(subtree_height(f9, i) + 1)
         )
         assert allocation[i] == expected
 

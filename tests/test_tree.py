@@ -15,6 +15,7 @@ from conftest import (
     F9_EDGES,
     adjacent,
     all_subsets,
+    children,
     random_tree_edges,
     root_path,
     shuffle_ids,
@@ -29,7 +30,7 @@ def test_example_tree_builds(example_tree):
     assert example_tree.n == 4
     assert example_tree.height == 2
     assert example_tree.root == 1
-    assert example_tree.children(3) == (6, 7)
+    assert children(example_tree, 3) == (6, 7)
     assert example_tree.parent(1) is None
 
 
@@ -101,7 +102,7 @@ def test_equality_and_round_trip_of_edges(f9):
 def _slots_from_edges(edges, root):
     """Every slot of the tree on these valid edges, recomputed by walking
     each node's parent chain (depths, canonical order, ranks, height and
-    ascending ids), and each node's children and subtree height by id."""
+    ascending ids), and each node's subtree height by id."""
     parent = dict(edges)
     nodes = sorted({root} | set(parent) | set(parent.values()))
 
@@ -128,9 +129,8 @@ def _slots_from_edges(edges, root):
         "_height": max(depth.values()),
         "_sorted_ids": tuple(nodes),
     }
-    children = {i: tuple(c for c in nodes if parent.get(c) == i) for i in nodes}
     heights = {i: max(depth[j] for j in below[i]) - depth[i] for i in nodes}
-    return slots, children, heights
+    return slots, heights
 
 
 @st.composite
@@ -152,10 +152,9 @@ def tree_edge_lists(draw, min_nodes=1):
 def test_build_matches_a_recomputation_from_the_edges(case):
     edges, root = case
     tree = build_tree(edges, root)
-    expected, children, heights = _slots_from_edges(edges, root)
+    expected, heights = _slots_from_edges(edges, root)
     assert {slot: getattr(tree, slot) for slot in expected} == expected
-    assert {i: tree.children(i) for i in tree.node_ids} == children
-    assert {i: tree.height_of_subtree(i) for i in tree.node_ids} == heights
+    assert dict(zip(tree._ids, tree._subtree_heights())) == heights
     assert tree.node_ids == tree._sorted_ids
     assert tree.height == tree._height
 
@@ -230,8 +229,9 @@ def test_depths_on_fixture(f9):
 
 
 def test_height_of_subtree(f9):
-    assert f9.height_of_subtree(2) == 2
-    assert f9.height_of_subtree(9) == 0
+    heights = dict(zip(f9._ids, f9._subtree_heights()))
+    assert heights[2] == 2
+    assert heights[9] == 0
 
 
 def test_unknown_node_errors(f9):
@@ -430,8 +430,8 @@ def test_complete_binary_tree_shape():
     t = complete_binary_tree(2)
     assert t.n == 7
     assert t.height == 2
-    assert t.children(1) == (2, 3)
-    assert t.children(3) == (6, 7)
+    assert children(t, 1) == (2, 3)
+    assert children(t, 3) == (6, 7)
 
 
 def test_chain_and_star_roots():

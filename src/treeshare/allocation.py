@@ -170,14 +170,14 @@ def round_half_away_from_zero(value: Fraction) -> int:
 class Allocation:
     """An exact reward per node id: ``numerators[node] / denominator``.
 
-    ``Allocation(numerators, denominator)`` takes integer numerators, as a
-    mapping or as ``(node, numerator)`` pairs, over a positive integer
+    ``Allocation(numerators, denominator)`` takes int numerators, as a
+    mapping or as ``(node, numerator)`` pairs, over a positive int
     denominator. ``Allocation(rewards)`` takes a mapping of exact rationals
     and brings them to the lcm of their denominators. Either way the input
-    is copied; ``Allocation.owning`` takes a fresh dict as it is. Treat
-    instances as immutable: ``rewards`` and ``total`` are built on first use
-    and cached. For Shapley allocations the total equals the grand-coalition
-    value.
+    is copied and checked; ``Allocation.owning`` takes a fresh dict as it
+    is. An immutable value, neither indexable nor iterable: rewards are read
+    from ``numerators`` or ``rewards``, built on first use and cached like
+    ``total``. For Shapley allocations the total is the grand-coalition value.
     """
 
     def __init__(
@@ -195,6 +195,9 @@ class Allocation:
             raise ValueError(f"denominator must be a positive int, got {denominator!r}")
         else:
             numerators = dict(values)
+            for v in numerators.values():
+                if v.__class__ is not int:
+                    raise ValueError(f"numerators must be ints, got {excerpt(v)}")
         self.numerators = numerators
         self.denominator = denominator
 
@@ -228,15 +231,6 @@ class Allocation:
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators.values()), self.denominator)
 
-    def __getitem__(self, node: int) -> Fraction:
-        return Fraction(self.numerators[node], self.denominator)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.numerators
-
-    def __len__(self) -> int:
-        return len(self.numerators)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Allocation):
             return NotImplemented
@@ -247,15 +241,6 @@ class Allocation:
             v * mine == other.numerators[node] * theirs
             for node, v in self.numerators.items()
         )
-
-    def get(self, node: int, default: Fraction = Fraction(0)) -> Fraction:
-        if node in self.numerators:
-            return self[node]
-        return default
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        """(node, reward) pairs in ascending node order."""
-        return sorted(self.rewards.items())
 
     def split(self, size: int) -> Iterator["Allocation"]:
         """The allocation in pieces of at most ``size`` nodes, in ascending
@@ -275,14 +260,14 @@ class Allocation:
             factor = denominator // part.denominator
             for node, v in part.numerators.items():
                 merged[node] = merged.get(node, 0) + v * factor
-        return Allocation(merged, denominator)
+        return Allocation.owning(merged, denominator)
 
     def scaled(self, k: Rational | int | str) -> "Allocation":
         """Every reward times ``k``: one integer multiply per node."""
         k = as_fraction(k)
         p = k.numerator
-        return Allocation(
-            ((node, p * v) for node, v in self.numerators.items()),
+        return Allocation.owning(
+            {node: p * v for node, v in self.numerators.items()},
             self.denominator * k.denominator,
         )
 

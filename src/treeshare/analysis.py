@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .allocation import Allocation, decimal_text
+from .allocation import Allocation, decimal_text, excerpt
 from .games import TreeGame, basic_game, coalition_values_by_mask
 from .shapley import SizeLimitError, shapley_basic, shapley_bruteforce, shapley_general
 from .tree import Coalition, RootedTree
@@ -34,12 +34,16 @@ def is_in_core(
 
     Exhaustive over all ``2**n`` coalitions. The reported violator, if any,
     is the lexicographically smallest one (by sorted member list), with the
-    amount by which it is short-changed.
+    amount by which it is short-changed. The allocation must pay exactly
+    the tree's nodes and distribute the grand coalition's value.
     """
     tree = game.tree
     n = tree.n
     if n > limit:
         raise SizeLimitError(f"core check over {n} agents exceeds limit {limit}")
+    if allocation.numerators.keys() != tree._rank.keys():
+        raise ValueError(f"allocation pays nodes {excerpt(list(allocation.numerators))}"
+                         ", not the tree's nodes")
     grand = game.f.of(tree.trim(tree.node_ids))
     if allocation.total != grand:
         raise ValueError(

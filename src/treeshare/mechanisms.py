@@ -88,7 +88,7 @@ def allocate_refer_a_friend(tree: RootedTree, spec: ReferAFriend) -> Allocation:
     numerators[0] = 0  # the root, first in canonical order
     for r in range(1, tree.n):
         numerators[parents[r]] += referrer_share
-    return Allocation(zip(ids, numerators), denominator)
+    return Allocation.owning(dict(zip(ids, numerators)), denominator)
 
 
 def _geometric_numerators(tree: RootedTree, ratio: Fraction) -> tuple[list[int], int]:
@@ -127,8 +127,8 @@ def allocate_geometric(tree: RootedTree, spec: Geometric) -> Allocation:
         denominator = sum(raw) or 1
         unit *= tree.n - 1
     p = unit.numerator
-    return Allocation(
-        ((i, p * v) for i, v in zip(tree._ids, raw)), unit.denominator * denominator
+    return Allocation.owning(
+        {i: p * v for i, v in zip(tree._ids, raw)}, unit.denominator * denominator
     )
 
 

@@ -46,15 +46,15 @@ def shapley_basic(tree: RootedTree) -> Allocation:
     acc = [share[d] for d in tree._depths]
     for r in range(tree.n - 1, 0, -1):
         acc[parents[r]] += acc[r]
-    return Allocation(zip(tree._ids, acc), common)
+    return Allocation.owning(dict(zip(tree._ids, acc)), common)
 
 
 def _reduced(tree: RootedTree, numerators: list[int], denominator: int) -> Allocation:
     """Per-rank numerators over ``denominator``, divided by their common
     factor, so the denominator is the lcm of the rewards' denominators."""
     g = gcd(denominator, *numerators)
-    return Allocation(
-        zip(tree._ids, (v // g for v in numerators)), denominator // g
+    return Allocation.owning(
+        dict(zip(tree._ids, (v // g for v in numerators))), denominator // g
     )
 
 
@@ -178,7 +178,7 @@ def root_adjust(
     as its sum with a one-entry allocation of ``-unit_value`` at the root;
     ``compute`` and ``stream`` take the unit off the closed form instead.
     """
-    if root not in allocation:
+    if root not in allocation.numerators:
         raise UnknownNodeError(f"allocation has no entry for root {root}")
     return allocation + Allocation({root: -as_fraction(unit_value)})
 
@@ -220,18 +220,20 @@ class IncrementalState:
     def attach(self, node: int, parent: int) -> None:
         """Attach a new member under ``parent``.
 
-        Rejects an unknown parent, a node that already joined and a node id
-        that is not a positive integer; a rejected join changes nothing. The
-        allocation is not touched here: ``allocation`` derives it from the
-        tree, so a replay that needs no deltas only attaches.
+        Rejects an unknown parent, an id that is not a positive int (``True``
+        and ``2.0`` included) and a node that already joined; a rejected join
+        changes nothing. The allocation is not touched here: ``allocation``
+        derives it from the tree, so a replay that needs no deltas only attaches.
         """
         parents = self._parents
         if parent not in parents:
             raise UnknownNodeError(f"unknown parent {excerpt(parent)}")
-        if node in parents:
-            raise TreeError(f"node {node} already joined")
+        if parent.__class__ is not int:
+            raise TreeError(f"node ids must be positive integers, got {excerpt(parent)}")
         if node.__class__ is not int or node <= 0:
             raise TreeError(f"node ids must be positive integers, got {excerpt(node)}")
+        if node in parents:
+            raise TreeError(f"node {node} already joined")
         parents[node] = parent
 
     def join(self, node: int, parent: int) -> Allocation:

@@ -14,14 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _int_digit_limit, random_tree_edges, shuffle_ids
+from test_games import GAME_KINDS, random_game
 from treeshare import (
     Allocation,
     EqualShares,
     Geometric,
     IncrementalState,
     ReferAFriend,
+    basic_game,
     build_tree,
     shapley_basic,
+    shapley_bruteforce,
+    shapley_general,
 )
 from treeshare.allocation import (
     LITERAL_DIGITS,
@@ -160,11 +164,26 @@ def test_as_fraction_reads_the_exponent_past_leading_zeros():
 def test_allocation_total_and_lookup():
     allocation = Allocation({2: Fraction(1, 3), 1: Fraction(2, 3)})
     assert allocation.total == 1
-    assert allocation[2] == Fraction(1, 3)
-    assert allocation.get(9) == 0
-    assert 1 in allocation and 9 not in allocation
-    assert len(allocation) == 2
-    assert allocation.items() == [(1, Fraction(2, 3)), (2, Fraction(1, 3))]
+    assert allocation.rewards == {1: Fraction(2, 3), 2: Fraction(1, 3)}
+    assert allocation.numerators == {1: 2, 2: 1} and allocation.denominator == 3
+    # A value, not a mapping: single rewards are read from ``rewards``.
+    with pytest.raises(TypeError):
+        allocation[1]
+    with pytest.raises(TypeError):
+        list(allocation)
+    with pytest.raises(TypeError):
+        Allocation(allocation)
+
+
+def test_allocation_rejects_numerators_that_are_not_ints():
+    for values, denominator in [({1: 0.5}, 1), ({1: True}, 1), ({1: Fraction(1, 2)}, 2)]:
+        with pytest.raises(ValueError, match="numerators must be ints"):
+            Allocation(values, denominator)
+    with pytest.raises(ValueError) as info:
+        Allocation({1: 1, 2: "x" * 50}, 1)
+    assert str(info.value) == (
+        "numerators must be ints, got 'xxxxxxxxxxxxxxxxxxxx'… (50 characters)"
+    )
 
 
 def test_allocation_add_and_scale():
@@ -177,7 +196,7 @@ def test_allocation_add_and_scale():
         3: Fraction(1, 3),
     }
     assert a.scaled(1000).rewards == {1: 500, 2: 500}
-    assert a.scaled("1/2")[1] == Fraction(1, 4)
+    assert a.scaled("1/2").rewards[1] == Fraction(1, 4)
 
 
 def test_allocation_display():
@@ -189,7 +208,7 @@ def test_allocation_copies_input():
     source = {1: Fraction(1)}
     allocation = Allocation(source)
     source[2] = Fraction(5)
-    assert 2 not in allocation
+    assert 2 not in allocation.numerators
 
 
 def test_owning_takes_its_dict_without_a_copy():
@@ -204,8 +223,8 @@ def test_split_pieces_cover_the_nodes_in_ascending_order(size):
     numerators = {node: node * node - 10 for node in [5, 1, 4, 2, 6, 3]}
     allocation = Allocation(numerators, 6)
     pieces = list(allocation.split(size))
-    assert [len(piece) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
-    assert 0 < len(pieces[-1]) <= size
+    assert [len(piece.numerators) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
+    assert 0 < len(pieces[-1].numerators) <= size
     assert [node for piece in pieces for node in piece.numerators] == [1, 2, 3, 4, 5, 6]
     assert all(piece.denominator == 6 for piece in pieces)
     assert {node: value for piece in pieces for node, value in piece.numerators.items()} \
@@ -284,8 +303,8 @@ def reference_round(value: Fraction) -> int:
 
 def _checked(allocation: Allocation) -> dict[int, Fraction]:
     """The allocation's rewards, after checking its form and rendering."""
-    assert allocation.denominator > 0
-    assert all(isinstance(v, int) for v in allocation.numerators.values())
+    assert type(allocation.denominator) is int and allocation.denominator > 0
+    assert all(type(v) is int for v in allocation.numerators.values())
     tables = [
         [line.split("\t") for line in
          render_allocation(allocation, "table", exact=exact).splitlines()]
@@ -294,13 +313,13 @@ def _checked(allocation: Allocation) -> dict[int, Fraction]:
     nodes = sorted(allocation.numerators)
     assert [[int(node) for node, _ in table] for table in tables] == [nodes, nodes]
     for node, (_, exact), (_, display) in zip(nodes, *tables):
-        value = allocation[node]
+        value = allocation.rewards[node]
         assert exact == str(value)
         assert display == str(round_half_away_from_zero(value))
         assert round_half_away_from_zero(value) == reference_round(value)
     csv = render_allocation(allocation, "csv").splitlines()[1:]
     assert csv == [f"{node},{v},{round_half_away_from_zero(v)}"
-                   for node, v in allocation.items()]
+                   for node, v in sorted(allocation.rewards.items())]
     return allocation.rewards
 
 
@@ -358,6 +377,26 @@ def test_integer_core_refer_a_friend_matches_reference(shape, unit, share):
     )
 
 
+def test_producers_that_skip_the_checks_hand_over_ints():
+    # These build through ``Allocation.owning``, past the constructor's
+    # checks; ``_checked`` holds them to its rule: int numerators over a
+    # positive int denominator.
+    rng = random.Random(139)
+    factors = [-3, Fraction(-2, 7), Fraction(5, 3), 0]
+    for _ in range(8):
+        edges = random_tree_edges(rng, rng.randint(1, 7))
+        tree = build_tree(edges, 1)
+        for game in [basic_game(tree), *(random_game(rng, tree, k) for k in GAME_KINDS)]:
+            assert _checked(shapley_general(game)) == _checked(shapley_bruteforce(game))
+        base = shapley_basic(tree)
+        for k in factors:
+            assert _checked(base + base.scaled(k)) == _checked(base.scaled(1 + k))
+        state = IncrementalState(1)
+        for child, parent in edges:
+            _checked(state.join(child, parent))
+        assert _checked(state.allocation) == base.rewards
+
+
 @given(st.dictionaries(st.integers(1, 10**6), st.fractions(), max_size=30), units)
 def test_allocation_from_fractions_round_trips(rewards, unit):
     allocation = Allocation(rewards)
@@ -379,7 +418,7 @@ def test_chain_61_shares_one_denominator_lcm_1_to_61():
     allocation = shapley_basic(chain(61))
     assert allocation.denominator == lcm(*range(1, 62))
     assert allocation.total == 61
-    assert allocation[61] == Fraction(1, 61)
+    assert allocation.rewards[61] == Fraction(1, 61)
 
 
 def test_star_and_equality_across_denominators():

@@ -70,6 +70,18 @@ def test_core_checks_total():
         is_in_core(basic_game(tree), Allocation({1: Fraction(1), 2: Fraction(2)}))
 
 
+def test_core_checks_the_allocation_pays_exactly_the_tree_nodes():
+    game = basic_game(chain(2))
+    for numerators in ({1: 1, 99: 1}, {1: 1, 2: 1, 99: 0}):  # totals are right
+        with pytest.raises(ValueError) as info:
+            is_in_core(game, Allocation(numerators, 1))
+        assert str(info.value) == (
+            f"allocation pays nodes {list(numerators)}, not the tree's nodes"
+        )
+    with pytest.raises(ValueError, match=r"nodes '\[1, 2, 3, 4.*… \(387 characters\),"):
+        is_in_core(game, Allocation(dict.fromkeys(range(1, 100), 0), 1))
+
+
 def test_core_respects_limit():
     tree = chain(17)
     with pytest.raises(SizeLimitError):

@@ -372,6 +372,7 @@ REPLAY_ERRORS = [
     ([(1, 3, 1), (2, 3, 1)], "event 2: node 3 already joined"),
     ([(4, 0, 1)], "event 4: node ids must be positive integers, got 0"),
     ([(1, 3, 1), (7, -2, 3)], "event 7: node ids must be positive integers, got -2"),
+    ([(1, 3, 1), (2, True, 3)], "event 2: node ids must be positive integers, got True"),
 ]
 
 

@@ -103,7 +103,7 @@ def test_geometric_budget_and_leaf_zeroes():
         assert allocation.total == 10 * (n - 1)
         for i in tree.node_ids:
             if not children(tree, i):
-                assert allocation[i] == 0
+                assert allocation.rewards[i] == 0
 
 
 def test_geometric_share_bounds():
@@ -117,11 +117,11 @@ def test_geometric_share_bounds():
                 subtree_level(tree, i, j)
                 for j in range(1, subtree_height(tree, i) + 1)
             ))
-            assert shares[i] <= len(descendants) * ratio
-            assert (shares[i] == 0) == (not descendants)
+            assert shares.rewards[i] <= len(descendants) * ratio
+            assert (shares.rewards[i] == 0) == (not descendants)
             # the bound is tight exactly when all descendants are children
             if descendants and descendants == set(children(tree, i)):
-                assert shares[i] == len(descendants) * ratio
+                assert shares.rewards[i] == len(descendants) * ratio
 
 
 def test_geometric_unnormalized_is_the_decayed_sum_over_descendants():
@@ -322,7 +322,7 @@ def test_star_payouts_differ_by_mechanism():
     tree = star(5)
     report = compare(tree, TABLE_SPECS)
     raf, geo, shap = report.allocations()
-    assert raf[1] == 4 * 500  # referrer share for each of 4 leaves
-    assert geo[1] == 4000  # whole pool, leaves get nothing
-    assert shap[1] == 1000 * (Fraction(1) + 4 * Fraction(1, 2) - 1)
-    assert all(shap[leaf] == 500 for leaf in (2, 3, 4, 5))
+    assert raf.rewards[1] == 4 * 500  # referrer share for each of 4 leaves
+    assert geo.rewards[1] == 4000  # whole pool, leaves get nothing
+    assert shap.rewards[1] == 1000 * (Fraction(1) + 4 * Fraction(1, 2) - 1)
+    assert all(shap.rewards[leaf] == 500 for leaf in (2, 3, 4, 5))

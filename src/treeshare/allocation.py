@@ -174,10 +174,11 @@ class Allocation:
     mapping or as ``(node, numerator)`` pairs, over a positive int
     denominator. ``Allocation(rewards)`` takes a mapping of exact rationals
     and brings them to the lcm of their denominators. Either way the input
-    is copied and checked; ``Allocation.owning`` takes a fresh dict as it
-    is. An immutable value, neither indexable nor iterable: rewards are read
-    from ``numerators`` or ``rewards``, built on first use and cached like
-    ``total``. For Shapley allocations the total is the grand-coalition value.
+    is copied and checked, and node ids must be positive ints;
+    ``Allocation.owning`` takes a fresh dict as it is. An immutable value,
+    neither indexable nor iterable: rewards are read from ``numerators`` or
+    ``rewards``, built on first use and cached like ``total``. For Shapley
+    allocations the total is the grand-coalition value.
     """
 
     def __init__(
@@ -198,6 +199,9 @@ class Allocation:
             for v in numerators.values():
                 if v.__class__ is not int:
                     raise ValueError(f"numerators must be ints, got {excerpt(v)}")
+        from .tree import _check_id  # here: tree imports this module
+        for node in numerators:
+            _check_id(node)
         self.numerators = numerators
         self.denominator = denominator
 

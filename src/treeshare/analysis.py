@@ -92,9 +92,10 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
     """Check that marginal contributions never shrink as coalitions grow.
 
     It suffices to compare each coalition against its one-element extensions;
-    monotonicity along chains then covers every nested pair. The first
-    violation found (coalitions in ascending mask order, then agents in
-    canonical order) is returned as a witness.
+    monotonicity along chains then covers every nested pair. That test is
+    symmetric in its two agents, so each pair is tested once; the first
+    violation (coalitions in ascending mask order, then pairs in canonical
+    order) is returned as a witness, with the pair's later agent as ``agent``.
     """
     tree = game.tree
     n = tree.n
@@ -106,19 +107,14 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
     for mask in range(1 << n):
         free = [r for r in range(n) if not mask & bits[r]]
         base = values[mask]
-        gain = {i: values[mask | bits[i]] - base for i in free}
-        for j in free:
+        for k, j in enumerate(free):
             bigger = mask | bits[j]
-            above = values[bigger]
-            for i in free:
-                if i != j and gain[i] > values[bigger | bits[i]] - above:
-                    members = [ids[r] for r in range(n) if mask & bits[r]]
-                    return ConvexityResult(
-                        convex=False,
-                        agent=ids[i],
-                        smaller=frozenset(members),
-                        larger=frozenset(members) | {ids[j]},
-                    )
+            gain = values[bigger] - base  # what j adds to S
+            for i in free[k + 1:]:  # j must add no less to S+i
+                if values[bigger | bits[i]] - values[mask | bits[i]] < gain:
+                    smaller = frozenset(ids[r] for r in range(n) if mask & bits[r])
+                    return ConvexityResult(convex=False, agent=ids[i], smaller=smaller,
+                                           larger=smaller | {ids[j]})
     return ConvexityResult(convex=True)
 
 

@@ -157,18 +157,14 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
             write_pending()
 
     try:
-        handle = click.open_file(eventlog, encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
-    try:
-        with handle:
+        with click.open_file(eventlog, encoding="utf-8") as handle:
             state = replay_events(
                 parse_event_log(handle), root,
                 root_adjust=config.root_adjust, on_delta=None if quiet else emit,
             )
     except OutputError:
         raise
-    except (OSError, UnicodeDecodeError) as exc:  # raised as the lines are read
+    except (OSError, UnicodeDecodeError) as exc:  # at the open or as lines are read
         raise InputFormatError(f"cannot read {eventlog}: {exc}") from None
     finally:
         # Also when an event fails, so that the deltas before it come out.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .allocation import as_fraction, common_numerators
-from .tree import Coalition, RootedTree
+from .tree import Coalition, RootedTree, _check_id
 
 RationalLike = Rational | int | str
 
@@ -34,17 +34,17 @@ class MissingCoalitionValueError(LookupError):
 class ValueFunction:
     """A value assignment over trimmed coalitions: one type per class.
 
-    Build one with a constructor; each type coerces and checks only its own
-    data when built, and checks that data against the tree when a
-    ``TreeGame`` is made. Like a ``RootedTree``, it never changes after
-    construction.
+    Build one with a constructor, which is the type itself: each coerces
+    and checks only its own data when built, and checks that data against
+    the tree when a ``TreeGame`` is made. Like a ``RootedTree``, it never
+    changes after construction.
 
     * ``basic()`` -- one unit per connected member (value = size). Carries
       nothing. ``shapley_value`` takes the O(n) closed form, at any scale.
     * ``size_based(weights)`` -- ``weights[|S|]``; the table must start with
       0 and, in a game, hold one entry per size ``0..n``.
-    * ``linear(weights)`` -- the members' node weights summed; a game needs
-      a weight for every node and none for unknown ids.
+    * ``linear(weights)`` -- the members' node weights summed, keyed by
+      positive int ids; a game needs a weight for every node and no other.
     * ``explicit(values)`` -- a literal table keyed by trimmed sets, with no
       duplicate keys and 0 for the empty set; in a game every key must be a
       trimmed coalition of the tree. Querying an uncovered nonempty set is
@@ -60,26 +60,6 @@ class ValueFunction:
         if type(self) is ValueFunction:
             raise TypeError("build a ValueFunction with one of its constructors")
         self.scale = Fraction(1)
-
-    @classmethod
-    def basic(cls) -> "ValueFunction":
-        return _Basic()
-
-    @classmethod
-    def size_based(cls, weights: Iterable[RationalLike]) -> "ValueFunction":
-        return _SizeBased(weights)
-
-    @classmethod
-    def linear(cls, weights: Mapping[int, RationalLike]) -> "ValueFunction":
-        return _Linear(weights)
-
-    @classmethod
-    def explicit(
-        cls,
-        values: Mapping[Iterable[int], RationalLike]
-        | Iterable[tuple[Iterable[int], RationalLike]],
-    ) -> "ValueFunction":
-        return _Explicit(values)
 
     def scaled(self, k: RationalLike) -> "ValueFunction":
         """The same type and data, checked once already, at ``scale * k``."""
@@ -124,7 +104,9 @@ class _SizeBased(ValueFunction):
 class _Linear(ValueFunction):
     def __init__(self, weights: Mapping[int, RationalLike]) -> None:
         super().__init__()
-        self.weights = {int(i): as_fraction(w) for i, w in weights.items()}
+        for i in weights:
+            _check_id(i)
+        self.weights = {i: as_fraction(w) for i, w in weights.items()}
 
     def _value(self, members: Coalition) -> Fraction:
         return sum((self.weights[i] for i in members), Fraction(0))
@@ -166,6 +148,12 @@ class _Explicit(ValueFunction):
                     f"explicit value for {sorted(key)}, which is not a "
                     "trimmed coalition of this tree"
                 )
+
+
+ValueFunction.basic = _Basic
+ValueFunction.size_based = _SizeBased
+ValueFunction.linear = _Linear
+ValueFunction.explicit = _Explicit
 
 
 class TreeGame:

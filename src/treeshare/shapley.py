@@ -210,8 +210,8 @@ class IncrementalState:
 
     def depth(self, node: int) -> int:
         parents = self._parents
-        if node not in parents:
-            raise UnknownNodeError(f"unknown node id {node!r}")
+        if node.__class__ is not int or node not in parents:
+            raise UnknownNodeError(f"unknown node id {excerpt(node)}")
         depth = 0
         while (node := parents[node]) is not None:
             depth += 1
@@ -249,8 +249,6 @@ class IncrementalState:
         while parent is not None:
             delta[parent] = 1
             parent = parents[parent]
-        # One delta per event: the constructor's defensive copy would cost a
-        # few percent of a join.
         return Allocation.owning(delta, len(delta))
 
     @property

@@ -27,7 +27,7 @@ class UnknownNodeError(TreeError):
 
 
 def _check_id(i: int) -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or i <= 0:
+    if not (i.__class__ is int and i > 0):  # not True, 2.0 or an IntEnum
         raise TreeError(f"node ids must be positive integers, got {excerpt(i)}")
 
 
@@ -129,13 +129,13 @@ class RootedTree:
     # -- basic queries -----------------------------------------------------
 
     def _rank_of(self, i: int) -> int:
-        try:
-            return self._rank[i]
-        except (KeyError, TypeError):
-            raise UnknownNodeError(f"unknown node id {i!r}") from None
+        rank = self._rank.get(i) if i.__class__ is int else None
+        if rank is None:
+            raise UnknownNodeError(f"unknown node id {excerpt(i)}")
+        return rank
 
     def __contains__(self, i: int) -> bool:
-        return i in self._rank
+        return i.__class__ is int and i in self._rank
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"

@@ -21,6 +21,7 @@ from treeshare import (
     Geometric,
     IncrementalState,
     ReferAFriend,
+    TreeError,
     basic_game,
     build_tree,
     shapley_basic,
@@ -184,6 +185,20 @@ def test_allocation_rejects_numerators_that_are_not_ints():
     assert str(info.value) == (
         "numerators must be ints, got 'xxxxxxxxxxxxxxxxxxxx'… (50 characters)"
     )
+
+
+@pytest.mark.parametrize("args,bad", [
+    (({1: 1, "a": 2}, 1), "a"),  # would fail to sort for display
+    (({1.5: 1, True: 2}, 1), 1.5),
+    (({True: 1}, 1), True),  # hashes as node 1 of a one-node tree
+    (({1: 1, 0: 2}, 1), 0),
+    (({1: Fraction(1, 2), "a": 1},), "a"),
+    (({True: Fraction(1, 2)},), True),
+])
+def test_allocation_rejects_node_ids_that_are_not_positive_ints(args, bad):
+    with pytest.raises(TreeError) as raised:
+        Allocation(*args)
+    assert str(raised.value) == f"node ids must be positive integers, got {bad!r}"
 
 
 def test_allocation_add_and_scale():

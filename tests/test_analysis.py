@@ -25,6 +25,7 @@ from treeshare import (
 )
 from treeshare import analysis
 from treeshare.analysis import (
+    ConvexityResult,
     binary_tree_count,
     complexity_table,
     is_complete_binary_tree,
@@ -365,6 +366,56 @@ def test_convexity_witness_is_unchanged(game, expected):
     result = is_convex(game)
     assert not result.convex
     assert (result.agent, sorted(result.smaller), sorted(result.larger)) == expected
+
+
+def _convex_by_ordered_pairs(game: TreeGame) -> ConvexityResult:
+    """The reference: every ordered pair of non-members tested, with each
+    agent's gain at the smaller coalition kept in a table."""
+    tree = game.tree
+    n = tree.n
+    values, _ = coalition_values_by_mask(game)
+    ids = tree._ids
+    bits = [1 << r for r in range(n)]
+    for mask in range(1 << n):
+        free = [r for r in range(n) if not mask & bits[r]]
+        base = values[mask]
+        gain = {i: values[mask | bits[i]] - base for i in free}
+        for j in free:
+            bigger = mask | bits[j]
+            above = values[bigger]
+            for i in free:
+                if i != j and gain[i] > values[bigger | bits[i]] - above:
+                    members = [ids[r] for r in range(n) if mask & bits[r]]
+                    return ConvexityResult(
+                        convex=False,
+                        agent=ids[i],
+                        smaller=frozenset(members),
+                        larger=frozenset(members) | {ids[j]},
+                    )
+    return ConvexityResult(convex=True)
+
+
+def test_convexity_matches_the_ordered_pair_reference():
+    rng = random.Random(18)
+    games = 320
+    convex = 0
+    for k in range(games):
+        n = rng.randint(2, 8)
+        edges, root = random_tree_edges(rng, n), 1
+        if k % 2:
+            edges, root = shuffle_ids(rng, edges, root)
+        tree = build_tree(edges, root)
+        if k % 4 < 2:
+            f = ValueFunction.size_based([0] + [rng.randint(-3, 12) for _ in range(n)])
+        else:
+            f = ValueFunction.linear({
+                i: Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for i in tree.node_ids
+            })
+        game = TreeGame(tree, f)
+        expected = _convex_by_ordered_pairs(game)
+        assert is_convex(game) == expected
+        convex += expected.convex
+    assert convex < games // 4  # mostly witnesses, not passes
 
 
 def _core_cases():

@@ -380,6 +380,12 @@ def test_attach_returns_nothing_and_builds_no_delta():
     assert state.depth(6) == 2
     with pytest.raises(UnknownNodeError, match="unknown node id 42"):
         state.depth(42)
+    for alias in (True, 3.0):  # they hash as nodes 1 and 3
+        with pytest.raises(UnknownNodeError):
+            state.depth(alias)
+    with pytest.raises(UnknownNodeError) as raised:
+        state.depth("7" * 100)
+    assert str(raised.value) == "unknown node id '77777777777777777777'… (100 characters)"
 
 
 def test_depth_walks_a_long_chain_without_recursion():

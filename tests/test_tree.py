@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshare import TreeError, UnknownNodeError, build_tree
+from treeshare import TreeError, TreeGame, UnknownNodeError, ValueFunction, build_tree
 from treeshare.tree import chain, complete_binary_tree, star
 
 from conftest import (
@@ -86,7 +87,11 @@ def test_unreachable_node_rejected():
         build_tree([(2, 1), (5, 4)], 1)
 
 
-@pytest.mark.parametrize("bad", [0, -3, "x", 2.5])
+class _Id(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("bad", [0, -3, "x", 2.5, _Id.TWO])
 def test_bad_ids_rejected(bad):
     with pytest.raises(TreeError):
         build_tree([(bad, 1)], 1)
@@ -245,6 +250,29 @@ def test_unknown_node_errors(f9):
             f9.trim(iter(members))
         with pytest.raises(UnknownNodeError):
             f9.is_trimmed(iter(members))
+    # Only ints are ids, though True and 2.0 hash as nodes 1 and 2.
+    for alias in (True, 2.0):
+        assert alias not in f9
+        with pytest.raises(UnknownNodeError):
+            f9.depth(alias)
+        with pytest.raises(UnknownNodeError):
+            f9.trim([1, alias])
+    with pytest.raises(UnknownNodeError) as raised:
+        f9.depth("7" * 100)
+    assert str(raised.value) == "unknown node id '77777777777777777777'… (100 characters)"
+
+
+@pytest.mark.parametrize("weights", [
+    {1: 1, 2.7: 5, 3: 1}, {1: 1, "2": 5, 3: 1}, {True: 1, 2: 5, 3: 1},
+])
+def test_value_functions_take_the_tree_id_rule(weights):
+    bad = next(i for i in weights if i.__class__ is not int)
+    with pytest.raises(TreeError) as raised:
+        ValueFunction.linear(weights)
+    assert str(raised.value) == f"node ids must be positive integers, got {bad!r}"
+    explicit = ValueFunction.explicit({(bad,): 1})
+    with pytest.raises(UnknownNodeError):
+        TreeGame(build_tree([(2, 1), (3, 1)], 1), explicit)
 
 
 # -- trimming --------------------------------------------------------------

@@ -33,8 +33,10 @@ LITERAL_DIGITS = 10**6
 
 def excerpt(value: object) -> str:
     """``repr(value)`` for a message, bounded in length: a text of more than
-    40 characters shows its first 20, then ``…`` and its length."""
-    text = value if isinstance(value, str) else repr(value)
+    40 characters shows its first 20, then ``…`` and its length. An int is
+    written by ``decimal_text``, as ``repr`` refuses one past the digit limit."""
+    text = (value if isinstance(value, str)
+            else decimal_text(value) if value.__class__ is int else repr(value))
     if len(text) <= 40:
         return repr(value)
     return f"{text[:20]!r}… ({len(text)} characters)"

@@ -8,7 +8,7 @@ has to look at, which is what makes the dedicated routes worthwhile.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -121,13 +121,25 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
 def count_trimmed_containing(tree: RootedTree, i: int) -> int:
     """How many trimmed coalitions contain node ``i``.
 
-    A lookup: the tree computes every node's count in two linear passes on
-    first use (see ``RootedTree._trimmed_counts``). Forcing ``i`` and its
-    ancestors in leaves a free choice of ``1 + t(c)`` at each child ``c``
-    hanging off the forced path, where ``t(c)`` counts the parent-closed
-    sets of c's subtree through ``c``.
+    Forcing ``i`` and its ancestors in leaves a free choice of ``1 + t(c)``
+    at each child ``c`` hanging off the forced path, where ``t(c)`` counts
+    the parent-closed sets of c's subtree through ``c`` (see
+    ``RootedTree._subtree_counts``). So the count is ``t(root)`` times
+    ``t(a) / (1 + t(a))`` for each ``a`` on i's root path below the root,
+    root first so that each division is exact: O(n) big-int steps a call,
+    and nothing kept. ``complexity_table`` counts for every node at once.
     """
-    return tree._trimmed_counts()[tree._rank_of(i)]
+    parents = tree._parents
+    path = []
+    r = tree._rank_of(i)
+    while r > 0:
+        path.append(r)
+        r = parents[r]
+    t = tree._subtree_counts()
+    count = t[0]
+    for a in reversed(path):
+        count = count * t[a] // (1 + t[a])
+    return count
 
 
 def trimmed_work(tree: RootedTree) -> int:
@@ -186,21 +198,24 @@ class ComplexityRow(NamedTuple):
     basic_count: int
 
 
-def complexity_table(tree: RootedTree) -> list[ComplexityRow]:
-    """Counts per node: all coalitions without the node (generic route),
-    trimmed coalitions containing it (tree-game route), and subtree levels
-    (basic route)."""
+def complexity_table(tree: RootedTree) -> Iterator[ComplexityRow]:
+    """Counts per node, in ascending id order: all coalitions without the
+    node (generic route), trimmed coalitions containing it (tree-game
+    route), and subtree levels (basic route).
+
+    ``count(root) = t(root)``, and a child ``c`` splits its parent's count
+    into the ``t(c)`` choices that hold it and the one that does not, so
+    ``count(c) = count(parent) * t(c) / (1 + t(c))``, parents first.
+    """
     cfg = 2 ** (tree.n - 1)
+    parents = tree._parents
     heights = tree._subtree_heights()
-    return [
-        ComplexityRow(
-            node=i,
-            cfg_count=cfg,
-            tree_game_count=count_trimmed_containing(tree, i),
-            basic_count=heights[tree._rank[i]] + 1,
-        )
-        for i in tree.node_ids
-    ]
+    counts = tree._subtree_counts()
+    for r in range(1, tree.n):
+        counts[r] = counts[parents[r]] * counts[r] // (1 + counts[r])
+    for i in tree.node_ids:
+        r = tree._rank[i]
+        yield ComplexityRow(i, cfg, counts[r], heights[r] + 1)
 
 
 # -- verification driver -------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on input errors, 2 on verification failure.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 # Our modules are imported before click on purpose: compiled after it, they
 # raised a run's peak memory by about 0.3 MiB. ``analysis`` and ``mechanisms``
@@ -218,35 +219,33 @@ def count(treefile, strict) -> None:
     document = parse_tree_file(read_text(treefile), strict)
     tree = document.tree
     headers = ["node", "depth", "cfg", "tree_game", "basic"]
-    table = [
-        [row.node, tree.depth(row.node), row.cfg_count, row.tree_game_count,
-         row.basic_count]
-        for row in analysis.complexity_table(tree)
-    ]
-    if analysis.is_complete_binary_tree(tree):
+    binary = analysis.is_complete_binary_tree(tree)
+    if binary:
         headers.append("binary_closed_form")
-        for cells in table:
-            closed = analysis.binary_tree_count(tree.height, cells[1])
-            if closed != cells[3]:
+    rows = analysis.complexity_table(tree)
+    first = next(rows)
+    # A column is as wide as its largest value, each known before any row is
+    # counted: every nonempty trimmed coalition holds the root, so the root's
+    # count is the largest. Rows are written as they are counted.
+    widest = analysis.count_trimmed_containing(tree, tree.root)
+    largest = [tree.node_ids[-1], tree.height, first.cfg_count, widest,
+               tree.height + 1, widest]
+    widths = [max(len(h), len(decimal_text(c))) for h, c in zip(headers, largest)]
+    cfg = decimal_text(first.cfg_count).rjust(widths[2])
+    _echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
+    for row in chain((first,), rows):
+        depth = tree.depth(row.node)
+        cells = [row.node, depth, row.cfg_count, row.tree_game_count, row.basic_count]
+        if binary:
+            closed = analysis.binary_tree_count(tree.height, depth)
+            if closed != row.tree_game_count:
                 raise VerificationFailure(
                     f"closed-form count {decimal_text(closed)} disagrees with "
-                    f"tree count {decimal_text(cells[3])} at node {cells[0]}"
+                    f"tree count {decimal_text(row.tree_game_count)} at node {row.node}"
                 )
             cells.append(closed)
-    # Every cell is a nonnegative int, so a column is as wide as its largest
-    # value; rows are then written one at a time, each count turned into
-    # text once and the shared cfg = 2**(n-1) only once in all.
-    widths = [
-        max(len(header), len(decimal_text(max(cells[k] for cells in table))))
-        for k, header in enumerate(headers)
-    ]
-    cfg = decimal_text(table[0][2]).rjust(widths[2])
-    _echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
-    for cells in table:
-        _echo("  ".join(
-            cfg if k == 2 else decimal_text(c).rjust(w)
-            for k, (c, w) in enumerate(zip(cells, widths))
-        ) + "\n")
+        _echo("  ".join(cfg if k == 2 else decimal_text(c).rjust(w)
+                        for k, (c, w) in enumerate(zip(cells, widths))) + "\n")
 
 
 def _cut_arguments(message: str, args: list[str]) -> str:

@@ -226,12 +226,12 @@ class IncrementalState:
         derives it from the tree, so a replay that needs no deltas only attaches.
         """
         parents = self._parents
+        if parent.__class__ is not int:  # the class first: [1] is unhashable
+            _check_id(parent)
         if parent not in parents:
             raise UnknownNodeError(f"unknown parent {excerpt(parent)}")
-        if parent.__class__ is not int:
-            raise TreeError(f"node ids must be positive integers, got {excerpt(parent)}")
         if node.__class__ is not int or node <= 0:
-            raise TreeError(f"node ids must be positive integers, got {excerpt(node)}")
+            _check_id(node)
         if node in parents:
             raise TreeError(f"node {node} already joined")
         parents[node] = parent

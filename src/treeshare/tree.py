@@ -38,9 +38,7 @@ class RootedTree:
     parent array and depths; the public surface always speaks original ids.
     No child lists are kept: every bottom-up pass folds each child into its
     parent in reverse canonical order. Instances never change after
-    construction and are safe to share across threads; the one cache, of
-    trimmed-coalition counts, is filled on first use with the same value
-    whichever thread fills it.
+    construction and are safe to share across threads.
     """
 
     __slots__ = (
@@ -52,7 +50,6 @@ class RootedTree:
         "_depths",
         "_height",
         "_sorted_ids",
-        "_counts",
     )
 
     def __init__(self, edges: Iterable[tuple[int, int]], root: int):
@@ -124,7 +121,6 @@ class RootedTree:
         self._depths = tuple(map(depth.__getitem__, order))
         self._height = max(self._depths)
         self._sorted_ids = sorted_ids
-        self._counts: tuple[int, ...] | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -262,26 +258,6 @@ class RootedTree:
         for r in range(self.n - 1, 0, -1):
             t[parents[r]] *= 1 + t[r]
         return t
-
-    def _trimmed_counts(self) -> tuple[int, ...]:
-        """Per canonical rank, how many trimmed coalitions contain that node.
-
-        ``count(root) = t(root)`` (see ``_subtree_counts``), and a child
-        ``c`` splits its parent's count into the ``t(c)`` choices that
-        include it and the one that does not, so
-        ``count(c) = count(parent) * t(c) / (1 + t(c))`` top-down. Computed
-        on first use and kept: building a tree pays nothing for it.
-        """
-        counts = self._counts
-        if counts is None:
-            n = self.n
-            parents = self._parents
-            t = self._subtree_counts()
-            found = [t[0]] * n
-            for r in range(1, n):
-                found[r] = found[parents[r]] * t[r] // (1 + t[r])
-            counts = self._counts = tuple(found)
-        return counts
 
 
 def build_tree(edges: Iterable[tuple[int, int]], root: int) -> RootedTree:

@@ -206,14 +206,16 @@ def test_trimmed_work_sums_the_counts_on_larger_trees():
         )
 
 
-def test_counts_are_computed_on_first_use_only():
+def test_counting_leaves_the_tree_as_built():
+    # The tree keeps no count: counting on it leaves every slot the very
+    # object that construction stored there.
     tree = build_tree(random_tree_edges(random.Random(113), 500, 6), 1)
-    assert tree._counts is None  # building a tree pays nothing for them
+    before = {slot: getattr(tree, slot) for slot in type(tree).__slots__}
     first = count_trimmed_containing(tree, 1)
-    counts = tree._counts
-    assert counts is not None and counts[0] == first
-    assert count_trimmed_containing(tree, 500) == counts[tree._rank[500]]
-    assert tree._counts is counts
+    rows = list(complexity_table(tree))
+    assert rows[0].tree_game_count == first
+    assert rows[-1].tree_game_count == count_trimmed_containing(tree, 500)
+    assert all(getattr(tree, slot) is value for slot, value in before.items())
 
 
 def test_binary_tree_count_base_cases():
@@ -260,7 +262,7 @@ def test_complexity_table_chain_and_star():
         star_rows[2].tree_game_count,
         star_rows[2].basic_count,
     ) == (8, 4, 1)
-    single = complexity_table(build_tree([], 1))[0]
+    single = next(complexity_table(build_tree([], 1)))
     assert (single.cfg_count, single.tree_game_count, single.basic_count) == (1, 1, 1)
 
 

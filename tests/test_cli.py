@@ -538,6 +538,28 @@ def test_count_perfect_binary_adds_closed_form(tmp_path, capsys):
     assert depth1[3] == depth1[5] == "20"
 
 
+def test_count_closed_form_disagreement_exits_two_after_the_rows_before_it(
+    tmp_path, capsys, monkeypatch
+):
+    # The closed form agrees with the tree count on every perfect binary
+    # tree, so inject a disagreement at depth 1 to pin the exit-code contract.
+    from treeshare import analysis
+
+    honest = analysis.binary_tree_count
+    monkeypatch.setattr(analysis, "binary_tree_count", lambda h, d: honest(h, d) + (d == 1))
+    edges = [{"child": k, "parent": k // 2} for k in range(2, 8)]
+    path = tmp_path / "bin2.json"
+    path.write_text(json.dumps({"root": 1, "edges": edges}))
+    code, out, err = run(capsys, "count", str(path))
+    assert code == 2
+    assert err == ("verification failed: closed-form count 21 disagrees with "
+                   "tree count 20 at node 2\n")
+    assert [line.split() for line in out.splitlines()] == [
+        ["node", "depth", "cfg", "tree_game", "basic", "binary_closed_form"],
+        ["1", "0", "64", "25", "3", "25"],
+    ]
+
+
 def test_count_columns_are_right_aligned_to_their_widest_cell(tmp_path, capsys):
     # A star of 30 leaves with a 40-node chain below the root: cfg and the
     # counts are wider than their headers, and counts down the chain shrink

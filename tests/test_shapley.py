@@ -442,6 +442,7 @@ def test_a_rejected_join_changes_nothing(step):
         (True, 2, TreeError, "positive integers, got True"),
         (3, True, TreeError, "positive integers, got True"),
         (3, 2.0, TreeError, "positive integers, got 2.0"),
+        (3, [2], TreeError, r"positive integers, got \[2\]"),
     ]:
         with pytest.raises(error, match=match):
             getattr(state, step)(node, parent)

@@ -91,7 +91,8 @@ class _Id(IntEnum):
     TWO = 2
 
 
-@pytest.mark.parametrize("bad", [0, -3, "x", 2.5, _Id.TWO])
+@pytest.mark.parametrize("bad", [0, -3, "x", 2.5, _Id.TWO,
+                                 pytest.param(-10**5000, id="-10**5000")])
 def test_bad_ids_rejected(bad):
     with pytest.raises(TreeError):
         build_tree([(bad, 1)], 1)
@@ -102,6 +103,12 @@ def test_equality_and_round_trip_of_edges(f9):
     assert again == f9
     assert again.edges() == f9.edges()
     assert build_tree([(2, 1)], 1) != f9
+
+
+def test_equal_trees_hash_equal(f9):
+    again = build_tree(reversed(F9_EDGES), 1)
+    assert again is not f9 and hash(again) == hash(f9)
+    assert len({f9, again, build_tree([(2, 1)], 1)}) == 2
 
 
 def _slots_from_edges(edges, root):
@@ -260,6 +267,10 @@ def test_unknown_node_errors(f9):
     with pytest.raises(UnknownNodeError) as raised:
         f9.depth("7" * 100)
     assert str(raised.value) == "unknown node id '77777777777777777777'… (100 characters)"
+    # An int past the int-to-str digit limit is cut the same way.
+    with pytest.raises(UnknownNodeError) as raised:
+        f9.depth(10**5000)
+    assert str(raised.value) == "unknown node id '10000000000000000000'… (5001 characters)"
 
 
 @pytest.mark.parametrize("weights", [
@@ -467,6 +478,16 @@ def test_chain_and_star_roots():
     assert star(1).n == 1
     assert chain(4).depth(4) == 3
     assert star(5).height == 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: chain(0), "chain needs at least one node"),
+    (lambda: star(0), "star needs at least one node"),
+    (lambda: complete_binary_tree(-1), "height must be nonnegative"),
+])
+def test_constructors_reject_an_empty_shape(make, message):
+    with pytest.raises(TreeError, match=message):
+        make()
 
 
 def _canonical_key(tree):

@@ -34,9 +34,12 @@ LITERAL_DIGITS = 10**6
 def excerpt(value: object) -> str:
     """``repr(value)`` for a message, bounded in length: a text of more than
     40 characters shows its first 20, then ``…`` and its length. An int is
-    written by ``decimal_text``, as ``repr`` refuses one past the digit limit."""
-    text = (value if isinstance(value, str)
-            else decimal_text(value) if value.__class__ is int else repr(value))
+    written by ``decimal_text``; a value whose ``repr`` fails shows its type."""
+    try:
+        text = (value if isinstance(value, str)
+                else decimal_text(value) if value.__class__ is int else repr(value))
+    except ValueError:
+        return f"<{type(value).__name__}>"
     if len(text) <= 40:
         return repr(value)
     return f"{text[:20]!r}… ({len(text)} characters)"
@@ -195,7 +198,8 @@ class Allocation:
             )
             numerators = dict(zip(nodes, common))
         elif denominator.__class__ is not int or denominator <= 0:
-            raise ValueError(f"denominator must be a positive int, got {denominator!r}")
+            raise ValueError(
+                f"denominator must be a positive int, got {excerpt(denominator)}")
         else:
             numerators = dict(values)
             for v in numerators.values():

@@ -118,13 +118,24 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
     return ConvexityResult(convex=True)
 
 
+def _subtree_counts(tree: RootedTree) -> list[int]:
+    """Per canonical rank ``r``, ``t(r)``: the parent-closed sets of r's
+    subtree that contain r. Each is r and, at each child ``c``, nothing or
+    one such set of c's subtree: ``t(r) = prod(1 + t(c))``, filled bottom-up."""
+    parents = tree._parents
+    t = [1] * tree.n
+    for r in range(tree.n - 1, 0, -1):
+        t[parents[r]] *= 1 + t[r]
+    return t
+
+
 def count_trimmed_containing(tree: RootedTree, i: int) -> int:
     """How many trimmed coalitions contain node ``i``.
 
     Forcing ``i`` and its ancestors in leaves a free choice of ``1 + t(c)``
     at each child ``c`` hanging off the forced path, where ``t(c)`` counts
     the parent-closed sets of c's subtree through ``c`` (see
-    ``RootedTree._subtree_counts``). So the count is ``t(root)`` times
+    ``_subtree_counts``). So the count is ``t(root)`` times
     ``t(a) / (1 + t(a))`` for each ``a`` on i's root path below the root,
     root first so that each division is exact: O(n) big-int steps a call,
     and nothing kept. ``complexity_table`` counts for every node at once.
@@ -135,7 +146,7 @@ def count_trimmed_containing(tree: RootedTree, i: int) -> int:
     while r > 0:
         path.append(r)
         r = parents[r]
-    t = tree._subtree_counts()
+    t = _subtree_counts(tree)
     count = t[0]
     for a in reversed(path):
         count = count * t[a] // (1 + t[a])
@@ -149,11 +160,11 @@ def trimmed_work(tree: RootedTree) -> int:
 
     Two bottom-up passes that keep no per-node count, so memory stays near
     the size of the tree. ``t(r)`` counts the parent-closed sets of r's
-    subtree that contain r (see ``RootedTree._subtree_counts``) and ``s(r)``
-    sums their sizes, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
+    subtree that contain r (see ``_subtree_counts``) and ``s(r)`` sums
+    their sizes, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
     """
     parents = tree._parents
-    t = tree._subtree_counts()
+    t = _subtree_counts(tree)
     s = t[:]
     for r in range(tree.n - 1, 0, -1):
         p = parents[r]
@@ -203,14 +214,18 @@ def complexity_table(tree: RootedTree) -> Iterator[ComplexityRow]:
     node (generic route), trimmed coalitions containing it (tree-game
     route), and subtree levels (basic route).
 
-    ``count(root) = t(root)``, and a child ``c`` splits its parent's count
-    into the ``t(c)`` choices that hold it and the one that does not, so
-    ``count(c) = count(parent) * t(c) / (1 + t(c))``, parents first.
+    One bottom-up pass fills ``t`` (see ``_subtree_counts``) and the subtree
+    heights. Then ``count(root) = t(root)``, and a child ``c`` splits its
+    parent's count into the ``t(c)`` choices that hold it and the one that
+    does not: ``count(c) = count(parent) * t(c) / (1 + t(c))``, parents first.
     """
     cfg = 2 ** (tree.n - 1)
     parents = tree._parents
-    heights = tree._subtree_heights()
-    counts = tree._subtree_counts()
+    heights, counts = [0] * tree.n, [1] * tree.n
+    for r in range(tree.n - 1, 0, -1):
+        p = parents[r]
+        counts[p] *= 1 + counts[r]
+        heights[p] = max(heights[p], heights[r] + 1)
     for r in range(1, tree.n):
         counts[r] = counts[parents[r]] * counts[r] // (1 + counts[r])
     for i in tree.node_ids:

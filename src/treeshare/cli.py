@@ -219,9 +219,11 @@ def count(treefile, strict) -> None:
     document = parse_tree_file(read_text(treefile), strict)
     tree = document.tree
     headers = ["node", "depth", "cfg", "tree_game", "basic"]
-    binary = analysis.is_complete_binary_tree(tree)
-    if binary:
+    closed = None  # on a perfect binary tree, the closed form at each depth
+    if analysis.is_complete_binary_tree(tree):
         headers.append("binary_closed_form")
+        closed = [analysis.binary_tree_count(tree.height, d)
+                  for d in range(tree.height + 1)]
     rows = analysis.complexity_table(tree)
     first = next(rows)
     # A column is as wide as its largest value, each known before any row is
@@ -236,14 +238,13 @@ def count(treefile, strict) -> None:
     for row in chain((first,), rows):
         depth = tree.depth(row.node)
         cells = [row.node, depth, row.cfg_count, row.tree_game_count, row.basic_count]
-        if binary:
-            closed = analysis.binary_tree_count(tree.height, depth)
-            if closed != row.tree_game_count:
+        if closed:
+            if closed[depth] != row.tree_game_count:
                 raise VerificationFailure(
-                    f"closed-form count {decimal_text(closed)} disagrees with "
+                    f"closed-form count {decimal_text(closed[depth])} disagrees with "
                     f"tree count {decimal_text(row.tree_game_count)} at node {row.node}"
                 )
-            cells.append(closed)
+            cells.append(closed[depth])
         _echo("  ".join(cfg if k == 2 else decimal_text(c).rjust(w)
                         for k, (c, w) in enumerate(zip(cells, widths))) + "\n")
 
@@ -265,12 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # a UsageError among them
         args = sys.argv[1:] if argv is None else argv
         click.echo(f"error: {_cut_arguments(exc.format_message(), args)}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
         return 1
     except click.exceptions.Abort:
         return 1

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
-from .allocation import as_fraction, common_numerators
+from .allocation import as_fraction, common_numerators, excerpt
 from .tree import Coalition, RootedTree, _check_id
 
 RationalLike = Rational | int | str
@@ -21,6 +21,14 @@ RationalLike = Rational | int | str
 # The exhaustive checks hold lists of 2**n entries, so a larger limit could
 # ask for more memory than there is.
 LIMIT_CEILING = 20
+
+
+def _listed(members: Iterable) -> str:
+    """A set's members for a message, sorted where they compare, cut by ``excerpt``."""
+    try:
+        return excerpt(sorted(members))
+    except TypeError:  # (1, "a"): members of mixed types
+        return excerpt(list(members))
 
 
 class SizeLimitError(ValueError):
@@ -112,12 +120,10 @@ class _Linear(ValueFunction):
         return sum((self.weights[i] for i in members), Fraction(0))
 
     def _check_fits(self, tree: RootedTree) -> None:
-        missing = [i for i in tree.node_ids if i not in self.weights]
-        if missing:
-            raise ValueError(f"no weight for nodes {missing}")
-        extra = [i for i in self.weights if i not in tree]
-        if extra:
-            raise ValueError(f"weights given for unknown nodes {sorted(extra)}")
+        if missing := [i for i in tree.node_ids if i not in self.weights]:
+            raise ValueError(f"no weight for nodes {_listed(missing)}")
+        if extra := [i for i in self.weights if i not in tree]:
+            raise ValueError(f"weights given for unknown nodes {_listed(extra)}")
 
 
 class _Explicit(ValueFunction):
@@ -128,7 +134,7 @@ class _Explicit(ValueFunction):
         for members, value in pairs:
             key = frozenset(members)
             if key in self.table:
-                raise ValueError(f"duplicate value for coalition {sorted(key)}")
+                raise ValueError(f"duplicate value for coalition {_listed(key)}")
             self.table[key] = as_fraction(value)
         if self.table.pop(frozenset(), 0) != 0:
             raise ValueError("the empty coalition must be worth 0")
@@ -138,14 +144,14 @@ class _Explicit(ValueFunction):
             return self.table[frozenset(members)]
         except KeyError:
             raise MissingCoalitionValueError(
-                f"no value assigned to trimmed coalition {sorted(members)}"
+                f"no value assigned to trimmed coalition {_listed(members)}"
             ) from None
 
     def _check_fits(self, tree: RootedTree) -> None:
         for key in self.table:
             if not tree.is_trimmed(key):
                 raise ValueError(
-                    f"explicit value for {sorted(key)}, which is not a "
+                    f"explicit value for {_listed(key)}, which is not a "
                     "trimmed coalition of this tree"
                 )
 

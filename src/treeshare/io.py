@@ -18,7 +18,7 @@ import re
 import sys
 from collections.abc import Callable, Generator, Iterable, Iterator
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, islice
 from operator import lt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -405,10 +405,10 @@ def load_config(path: str) -> RunConfig:
 
 def _texts(allocation: Allocation, nodes: list[int], template: str) -> list[str]:
     """``template`` filled with the exact and display text of each node's
-    reward, in the order of ``nodes``; a node without an entry reads 0.
-    Each distinct numerator's text is made once."""
+    reward, in the order of ``nodes``. Each distinct numerator's text is
+    made once."""
     denominator = allocation.denominator
-    values = list(map(allocation.numerators.get, nodes, repeat(0)))
+    values = list(map(allocation.numerators.__getitem__, nodes))
     texts = {v: template.format(*exact_and_display(v, denominator)) for v in set(values)}
     return list(map(texts.__getitem__, values))
 

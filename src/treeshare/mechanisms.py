@@ -170,10 +170,8 @@ class RewardReport(NamedTuple):
         return [allocation for _, allocation in self.results]
 
     def nodes(self) -> list[int]:
-        """Every node of any allocation, in ascending order."""
-        return sorted(
-            {node for allocation in self.allocations() for node in allocation.numerators}
-        )
+        """The tree's nodes, ascending: ``compare`` pays each from one tree."""
+        return sorted(self.results[0][1].numerators)
 
 
 def compare(tree: RootedTree, specs: list[MechanismSpec]) -> RewardReport:

@@ -280,10 +280,5 @@ class IncrementalState:
         return Allocation.owning(numerators, common)
 
     def to_tree(self) -> RootedTree:
-        """Materialise the current tree."""
-        edges = [
-            (child, parent)
-            for child, parent in self._parents.items()
-            if parent is not None
-        ]
-        return build_tree(edges, self.root)
+        """Materialise the current tree; the root is the table's first entry."""
+        return build_tree(islice(self._parents.items(), 1, None), self.root)

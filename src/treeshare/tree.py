@@ -240,25 +240,6 @@ class RootedTree:
             members.append(e)
             yield frozenset(ids[r] for r in members)
 
-    def _subtree_heights(self) -> list[int]:
-        """Per canonical rank, the height of that node's subtree. Not kept."""
-        parents = self._parents
-        heights = [0] * self.n
-        for r in range(self.n - 1, 0, -1):
-            heights[parents[r]] = max(heights[parents[r]], heights[r] + 1)
-        return heights
-
-    def _subtree_counts(self) -> list[int]:
-        """Per canonical rank ``r``, ``t(r)``: how many parent-closed sets of
-        r's subtree contain r. Each is r plus, at every child ``c``, nothing
-        or one such set of c's subtree, so ``t(r) = prod(1 + t(c))``, filled
-        bottom-up. Not kept."""
-        parents = self._parents
-        t = [1] * self.n
-        for r in range(self.n - 1, 0, -1):
-            t[parents[r]] *= 1 + t[r]
-        return t
-
 
 def build_tree(edges: Iterable[tuple[int, int]], root: int) -> RootedTree:
     """Build and validate a tree from (child, parent) pairs and a root id."""

@@ -20,8 +20,12 @@ from treeshare import (
     EqualShares,
     Geometric,
     IncrementalState,
+    MissingCoalitionValueError,
     ReferAFriend,
     TreeError,
+    TreeGame,
+    UnknownNodeError,
+    ValueFunction,
     basic_game,
     build_tree,
     shapley_basic,
@@ -451,3 +455,46 @@ def test_allocation_rejects_bad_denominators():
     for bad in (0, -4, True, Fraction(3)):
         with pytest.raises(ValueError, match="denominator"):
             Allocation({1: 1}, bad)
+
+
+def test_allocation_repr_and_comparison_with_a_foreign_type():
+    assert repr(Allocation({1: 2}, 3)) == "Allocation({1: 2}, 3)"
+    assert Allocation({1: 1}, 1) != 1 and not Allocation({1: 1}, 1) == 1
+
+
+# Each error below quotes a value through ``excerpt``. With the digit limit
+# in force, a repr that holds a longer int shows as its type; with the limit
+# lifted, the repr is cut like any long text. Either way the error keeps its
+# type and stays one short line.
+ECHOED = [
+    pytest.param(lambda: chain(3).depth([10**5000]), UnknownNodeError,
+                 "unknown node id ", id="depth"),
+    pytest.param(lambda: chain(3).trim([1, (10**5000,)]), UnknownNodeError,
+                 "unknown node id ", id="trim"),
+    pytest.param(lambda: IncrementalState(1).attach(2, [10**5000]), TreeError,
+                 "node ids must be positive integers, got ", id="attach"),
+    pytest.param(lambda: build_tree([((10**5000,), 1)], 1), TreeError,
+                 "node ids must be positive integers, got ", id="build_tree"),
+    pytest.param(lambda: Allocation({1: 1}, "x" * 10**5), ValueError,
+                 "denominator must be a positive int, got ", id="long-denominator"),
+    pytest.param(lambda: Allocation({1: 1}, [10**5000]), ValueError,
+                 "denominator must be a positive int, got ", id="huge-denominator"),
+    pytest.param(lambda: TreeGame(chain(10**5), ValueFunction.linear({})), ValueError,
+                 "no weight for nodes ", id="linear-missing"),
+    pytest.param(lambda: TreeGame(chain(1), ValueFunction.linear({1: 1, 10**5000: 1})),
+                 ValueError, "weights given for unknown nodes ", id="linear-unknown"),
+    pytest.param(lambda: ValueFunction.explicit([((1, "a"), 1), (("a", 1), 2)]),
+                 ValueError, "duplicate value for coalition ", id="explicit-mixed"),
+    pytest.param(lambda: ValueFunction.explicit({}).of(frozenset([10**5000])),
+                 MissingCoalitionValueError, "no value assigned to trimmed coalition ",
+                 id="explicit-missing"),
+]
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize("make, error, start", ECHOED)
+def test_an_echoed_value_gives_a_short_typed_error(make, error, start, limit):
+    with _int_digit_limit(limit), pytest.raises(error) as raised:
+        make()
+    message = str(raised.value)
+    assert message.startswith(start) and len(message) <= 90

@@ -560,6 +560,23 @@ def test_count_closed_form_disagreement_exits_two_after_the_rows_before_it(
     ]
 
 
+@pytest.mark.parametrize("height", range(5))
+def test_count_takes_the_closed_form_once_per_depth(height, tmp_path, capsys, monkeypatch):
+    from treeshare import analysis
+
+    calls = []
+    honest = analysis.binary_tree_count
+    monkeypatch.setattr(analysis, "binary_tree_count",
+                        lambda h, d: calls.append(d) or honest(h, d))
+    edges = [{"child": k, "parent": k // 2} for k in range(2, 2 ** (height + 1))]
+    path = tmp_path / "binary.json"
+    path.write_text(json.dumps({"root": 1, "edges": edges}))
+    code, out, _ = run(capsys, "count", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == 2 ** (height + 1)
+    assert sorted(calls) == list(range(height + 1))
+
+
 def test_count_columns_are_right_aligned_to_their_widest_cell(tmp_path, capsys):
     # A star of 30 leaves with a 40-node chain below the root: cfg and the
     # counts are wider than their headers, and counts down the chain shrink
@@ -859,6 +876,32 @@ def test_deeply_nested_json_exits_1(kind, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {kind} file is nested too deeply")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "count"])
+def test_tree_file_whose_edges_are_not_a_list_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "edges.json"
+    path.write_text('{"root": 1, "edges": {}}')
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: 'edges' must be a list of {child, parent} objects\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "count"])
+@pytest.mark.parametrize("raised, err", [
+    # No command raises a non-usage ``ClickException`` now; one that did
+    # would print like every other input error.
+    (click.FileError("tree.json", hint="gone"),
+     "error: Could not open file 'tree.json': gone\n"),
+    # click writes a newline to stderr as it turns the interrupt into Abort.
+    (KeyboardInterrupt(), "\n"),
+], ids=["click-error", "interrupt"])
+def test_a_click_error_or_an_interrupt_exits_1(command, raised, err, monkeypatch, capsys):
+    def fail(*args):
+        raise raised
+
+    monkeypatch.setattr("treeshare.cli.parse_tree_file", fail)
+    assert run(capsys, command, _golden_input(command)) == (1, "", err)
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "count"])

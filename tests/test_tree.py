@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshare import TreeError, TreeGame, UnknownNodeError, ValueFunction, build_tree
+from treeshare.analysis import complexity_table
 from treeshare.tree import chain, complete_binary_tree, star
 
 from conftest import (
@@ -105,6 +106,11 @@ def test_equality_and_round_trip_of_edges(f9):
     assert build_tree([(2, 1)], 1) != f9
 
 
+def test_repr_and_comparison_with_a_foreign_type():
+    assert repr(chain(3)) == "RootedTree(n=3, root=1)"
+    assert chain(3) != 1 and not chain(3) == 1
+
+
 def test_equal_trees_hash_equal(f9):
     again = build_tree(reversed(F9_EDGES), 1)
     assert again is not f9 and hash(again) == hash(f9)
@@ -166,7 +172,7 @@ def test_build_matches_a_recomputation_from_the_edges(case):
     tree = build_tree(edges, root)
     expected, heights = _slots_from_edges(edges, root)
     assert {slot: getattr(tree, slot) for slot in expected} == expected
-    assert dict(zip(tree._ids, tree._subtree_heights())) == heights
+    assert {row.node: row.basic_count - 1 for row in complexity_table(tree)} == heights
     assert tree.node_ids == tree._sorted_ids
     assert tree.height == tree._height
 
@@ -241,7 +247,7 @@ def test_depths_on_fixture(f9):
 
 
 def test_height_of_subtree(f9):
-    heights = dict(zip(f9._ids, f9._subtree_heights()))
+    heights = {row.node: row.basic_count - 1 for row in complexity_table(f9)}
     assert heights[2] == 2
     assert heights[9] == 0
 

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import random
+import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +36,7 @@ from treeshare.io import (
 from treeshare.mechanisms import compare
 
 from conftest import F9_EDGES, _int_digit_limit, random_tree_edges, shuffle_ids
+from test_golden import load_transcript
 
 EXAMPLE_DOC = json.dumps(
     {
@@ -1033,6 +1036,65 @@ def test_broken_pipe_on_stdout_exits_1_silently(argv, tmp_path, monkeypatch, cap
     code, err, _ = _run_until_stdout_is_full(
         argv, errno.EPIPE, tmp_path, monkeypatch, capsys)
     assert (code, err) == (1, "")
+
+
+# -- the command line as a child process sees it ----------------------------------
+
+CHILD = [sys.executable, "-m", "treeshare.cli"]
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(GOLDEN.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+USAGE_ANY = r"Usage: .*"
+# Each case: argv, stdin, exit code, and patterns that stdout and stderr
+# match whole.
+CONTRACT = {
+    "stdin": (["stream", "-", "--unit", "7/3", "--exact"],
+              (GOLDEN / "f9.log").read_bytes(), 0,
+              re.escape(load_transcript("f9")["stream f9.log --unit 7/3 --exact"][1]), ""),
+    "stdin-not-utf8": (["stream", "-"], b"1 2 1\n2 \xff 1\n", 1, "",
+                       re.escape("error: cannot read -: 'utf-8' codec") + r".*\n"),
+    "flag-with-value": (["stream", "f9.log", "--quiet=1"], b"", 1, "",
+                        re.escape("error: Option '--quiet' does not take a value.\n")),
+    "trailing-option": (["compute", "f9.json", "--format"], b"", 1, "",
+                        re.escape("error: Option '--format' requires an argument.\n")),
+    "unknown-command": (["bogus"], b"", 1, "", re.escape("error: No such command 'bogus'.\n")),
+    "after-double-dash": (["compute", "f9.json", "--", "--x"], b"", 1, "",
+                          re.escape("error: Got unexpected extra argument (--x)\n")),
+    "last-value-wins": (["verify", "f9.json", "--limit-core", "5", "--limit-core", "6"],
+                        b"", 0, r"(.*\n)?" + re.escape(
+                            "SKIPPED  core membership (n=9 exceeds core limit 6)\n") + ".*",
+                        ""),
+    "help": (["--help"], b"", 0, USAGE_ANY, ""),
+    **{f"{command}-help": ([command, "--help"], b"", 0, USAGE_ANY, "")
+       for command in ("compute", "stream", "verify", "count")},
+    "no-arguments": ([], b"", 1, "", "error: " + USAGE_ANY),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT)
+def test_the_command_line_contract_in_a_child(case):
+    argv, stdin, code, out, err = CONTRACT[case]
+    result = subprocess.run([*CHILD, *argv], input=stdin, capture_output=True,
+                            cwd=GOLDEN, env=CHILD_ENV, timeout=60)
+    assert result.returncode == code
+    assert re.fullmatch(out, result.stdout.decode(), re.DOTALL)
+    assert re.fullmatch(err, result.stderr.decode(), re.DOTALL)
+
+
+def test_a_broken_pipe_in_a_child_exits_1_silently(tmp_path):
+    # The records output is far larger than a pipe's buffer, so the child is
+    # still writing when the pipe closes; stdout is then flushed again at exit.
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"root": 1, "edges": [
+        {"child": c, "parent": p} for c, p in random_tree_edges(random.Random(8), 3000)]}))
+    child = subprocess.Popen([*CHILD, "compute", str(path), "--format", "records"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    assert child.stdout.readline().startswith(b'{"mechanism": ')
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (1, b"")
 
 
 @pytest.mark.parametrize("labels", ['[1]', '"x"', '{"2": {"a": [1]}}', '{"2": 5}'])

@@ -222,7 +222,9 @@ class Allocation:
         return allocation
 
     def __repr__(self) -> str:
-        return f"Allocation({self.numerators!r}, {self.denominator!r})"
+        entries = ", ".join(f"{decimal_text(node)}: {decimal_text(numerator)}"
+                            for node, numerator in self.numerators.items())
+        return f"Allocation({{{entries}}}, {decimal_text(self.denominator)})"
 
     @cached_property
     def rewards(self) -> dict[int, Fraction]:

@@ -5,12 +5,11 @@ Exit codes: 0 on success, 1 on input errors, 2 on verification failure.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from itertools import chain
 
-# Our modules are imported before click on purpose: compiled after it, they
-# raised a run's peak memory by about 0.3 MiB. ``analysis`` and ``mechanisms``
-# are imported only by the commands that run them.
 from .allocation import decimal_text, exact_and_display, excerpt
 from .io import (
     OUTPUT_FORMATS,
@@ -24,8 +23,6 @@ from .io import (
     render_report,
     replay_events,
 )
-
-import click
 
 
 # Verbose ``stream`` writes its delta lines in chunks of at most this many.
@@ -41,15 +38,27 @@ class VerificationFailure(Exception):
 
 
 class OutputError(OSError):
-    """A failed write to stdout. It keeps the errno, so click still ends a
+    """A failed write to stdout. It keeps the errno, so that ``main`` ends a
     broken pipe silently, and ``stream`` tells it from a failed read."""
+
+
+class UsageError(ValueError):
+    """A command line that does not parse; it exits 1 like any input error."""
 
 
 def _echo(text: str) -> None:
     try:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
         raise OutputError(*exc.args) from None
+
+
+def _open_log(path: str):
+    """The event log at ``path``, or stdin for ``-``, read as UTF-8."""
+    if path == "-":
+        return open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
+    return open(path, encoding="utf-8")
 
 
 def _build_config(config_path: str | None, **flags) -> RunConfig:
@@ -59,48 +68,7 @@ def _build_config(config_path: str | None, **flags) -> RunConfig:
     return config.updated(**flags)
 
 
-_COMMON = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="JSON config file; flags override its entries."),
-    click.option("--unit", default=None,
-                 help="Reward pool per referral, as 'p/q' or a decimal; a "
-                      "negative unit is accepted and scales every reward."),
-    click.option("--root-adjust/--no-root-adjust", "root_adjust", default=None,
-                 help="Charge the root one unit for its free signup."),
-    click.option("--exact", is_flag=True, default=None,
-                 help="Print exact rationals instead of rounded integers."),
-    click.option("--format", "output_format",
-                 type=click.Choice(OUTPUT_FORMATS), default=None),
-]
-
-
-def _with(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
-
-
-@click.group()
-def cli() -> None:
-    """Referral-tree reward allocation with exact rational arithmetic."""
-
-
-@cli.command()
-@click.argument("treefile", type=click.Path())
-@click.option("--mechanism", "mechanisms", multiple=True,
-              help="Mechanism to run (repeatable): shapley, refer-a-friend, "
-                   "geometric. Default: all three.")
-@click.option("--ratio", default=None, help="Geometric decay ratio in (0,1).")
-@click.option("--normalize/--no-normalize", "normalize", default=None,
-              help="Scale geometric shares to pay out the whole pool.")
-@click.option("--referrer-share", default=None,
-              help="Referrer's fraction of each refer-a-friend unit.")
-@click.option("--strict/--no-strict", default=True,
-              help="Reject unknown fields in the tree file.")
-@_with(_COMMON)
-def compute(treefile, strict, config_path, **flags) -> None:
+def compute(treefile, strict=True, config_path=None, **flags) -> None:
     """Allocate rewards for a tree under one or more mechanisms."""
     from .mechanisms import compare
 
@@ -120,15 +88,7 @@ def compute(treefile, strict, config_path, **flags) -> None:
             header = False
 
 
-@cli.command()
-@click.argument("eventlog", type=click.Path(allow_dash=True))
-@click.option("--root", type=int, default=1, show_default=True,
-              help="Id of the node that joined independently.")
-@click.option("--quiet", is_flag=True, default=False,
-              help="Print only the final allocation; builds no per-event "
-                   "deltas.")
-@_with(_COMMON)
-def stream(eventlog, root, quiet, config_path, **flags) -> None:
+def stream(eventlog, root=1, quiet=False, config_path=None, **flags) -> None:
     """Replay a join-event log, reporting per-event reward deltas and the
     final allocation (the equal-shares mechanism, computed incrementally)."""
     config = _build_config(config_path, **flags)
@@ -158,7 +118,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
             write_pending()
 
     try:
-        with click.open_file(eventlog, encoding="utf-8") as handle:
+        with _open_log(eventlog) as handle:
             state = replay_events(
                 parse_event_log(handle), root,
                 root_adjust=config.root_adjust, on_delta=None if quiet else emit,
@@ -180,17 +140,7 @@ def stream(eventlog, root, quiet, config_path, **flags) -> None:
                                 config.exact, header=not k))
 
 
-@cli.command()
-@click.argument("treefile", type=click.Path())
-@click.option("--limit-bruteforce", type=int, default=None,
-              help="Largest n for the brute-force oracle (default 10, 0 to 20).")
-@click.option("--limit-core", type=int, default=None,
-              help="Largest n for the exhaustive core check (default 16, 0 to 20).")
-@click.option("--limit-convex", type=int, default=None,
-              help="Largest n for the convexity check (default 12, 0 to 20).")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--strict/--no-strict", default=True)
-def verify(treefile, config_path, strict, **flags) -> None:
+def verify(treefile, config_path=None, strict=True, **flags) -> None:
     """Cross-check the computation routes and game properties on a tree."""
     from . import analysis
 
@@ -209,10 +159,7 @@ def verify(treefile, config_path, strict, **flags) -> None:
         raise VerificationFailure("one or more verification checks failed")
 
 
-@cli.command()
-@click.argument("treefile", type=click.Path())
-@click.option("--strict/--no-strict", default=True)
-def count(treefile, strict) -> None:
+def count(treefile, strict=True) -> None:
     """Per-node coalition counts for each Shapley computation route."""
     from . import analysis
 
@@ -249,37 +196,251 @@ def count(treefile, strict) -> None:
                         for k, (c, w) in enumerate(zip(cells, widths))) + "\n")
 
 
-def _cut_arguments(message: str, args: list[str]) -> str:
-    """click's message with each argument it echoes, quoted as ``repr``
-    writes it or bare, cut as ``excerpt`` cuts it when longer than 40
-    characters or not printable, so that a usage error is one short line.
-    Either side of ``--option=value`` counts as an argument too."""
-    values = {value for arg in args for value in (arg, *arg.partition("=")[::2])}
-    for value in sorted(values, key=len, reverse=True):  # one may hold another
-        if len(value) > 40 or not value.isprintable():
-            cut = excerpt(value)
-            message = message.replace(repr(value), cut).replace(value, cut)
-    return message
+# The kinds of option. A flag is True when given; a ``--x/--no-x`` pair is
+# True or False; the others take a value: an int, a text shown as TEXT or
+# PATH, a text that may be given again (every value is kept), or one of a
+# tuple of choices, which is its own kind.
+FLAG, PAIR, INT, TEXT, PATH, REPEATED = "flag", "pair", "int", "text", "path", "repeated"
+_METAVARS = {INT: "INTEGER", TEXT: "TEXT", PATH: "PATH", REPEATED: "TEXT"}
+
+# Each option as (name, destination, kind, help); a destination is the
+# keyword argument that the command is called with.
+_HELP = ("--help", "help", FLAG, "Show this message and exit.")
+_RUN_OPTIONS = [
+    ("--config", "config_path", PATH, "JSON config file; flags override its entries."),
+    ("--unit", "unit", TEXT, "Reward pool per referral, as 'p/q' or a decimal; a "
+                             "negative unit is accepted and scales every reward."),
+    ("--root-adjust/--no-root-adjust", "root_adjust", PAIR,
+     "Charge the root one unit for its free signup."),
+    ("--exact", "exact", FLAG, "Print exact rationals instead of rounded integers."),
+    ("--format", "output_format", OUTPUT_FORMATS, ""),
+]
+_ABOUT = "Referral-tree reward allocation with exact rational arithmetic."
+# Each command as (function, its argument's name, its options).
+COMMANDS = {
+    "compute": (compute, "TREEFILE", [
+        ("--mechanism", "mechanisms", REPEATED, "Mechanism to run (repeatable): "
+         "shapley, refer-a-friend, geometric. Default: all three."),
+        ("--ratio", "ratio", TEXT, "Geometric decay ratio in (0,1)."),
+        ("--normalize/--no-normalize", "normalize", PAIR,
+         "Scale geometric shares to pay out the whole pool."),
+        ("--referrer-share", "referrer_share", TEXT,
+         "Referrer's fraction of each refer-a-friend unit."),
+        ("--strict/--no-strict", "strict", PAIR, "Reject unknown fields in the tree file."),
+        *_RUN_OPTIONS, _HELP,
+    ]),
+    "stream": (stream, "EVENTLOG", [
+        ("--root", "root", INT, "Id of the node that joined independently.  [default: 1]"),
+        ("--quiet", "quiet", FLAG,
+         "Print only the final allocation; builds no per-event deltas."),
+        *_RUN_OPTIONS, _HELP,
+    ]),
+    "verify": (verify, "TREEFILE", [
+        ("--limit-bruteforce", "limit_bruteforce", INT,
+         "Largest n for the brute-force oracle (default 10, 0 to 20)."),
+        ("--limit-core", "limit_core", INT,
+         "Largest n for the exhaustive core check (default 16, 0 to 20)."),
+        ("--limit-convex", "limit_convex", INT,
+         "Largest n for the convexity check (default 12, 0 to 20)."),
+        ("--config", "config_path", PATH, ""),
+        ("--strict/--no-strict", "strict", PAIR, ""),
+        _HELP,
+    ]),
+    "count": (count, "TREEFILE", [("--strict/--no-strict", "strict", PAIR, ""), _HELP]),
+}
+
+
+def _parse(args: list[str], options, interspersed: bool = True) -> tuple[dict, list[str]]:
+    """The options given in ``args``, by destination, and the positional
+    arguments. A value stays text here, the last one given wins, and a
+    repeated option keeps a list. ``--`` ends the options; so does the first
+    positional argument unless options may follow it."""
+    names = {}
+    for name, dest, kind, _ in options:
+        for k, part in enumerate(name.split("/")):  # a pair's second name is off
+            names[part] = dest, kind, k == 0
+    values: dict = {}
+    positional: list[str] = []
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            positional += rest
+        elif arg[:1] != "-" or arg == "-":  # ``-`` is stdin, not an option
+            positional.append(arg)
+            if not interspersed:
+                positional += rest
+        else:
+            name, equals, value = arg.partition("=")
+            if name not in names:
+                raise UsageError(_no_such_option(arg, names))
+            dest, kind, on = names[name]
+            if kind in (FLAG, PAIR):
+                if equals:
+                    raise UsageError(f"Option {name!r} does not take a value.")
+                values[dest] = on
+                continue
+            if not equals:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"Option {name!r} requires an argument.")
+            if kind == REPEATED:
+                values.setdefault(dest, []).append(value)
+            else:
+                values[dest] = value
+    return values, positional
+
+
+def _no_such_option(arg: str, names) -> str:
+    if not arg.startswith("--"):  # ``-xy`` is read as short options; none exist
+        return f"No such option {excerpt(arg[:2])}."
+    name = arg.partition("=")[0]
+    return f"No such option {excerpt(name)}.{_did_you_mean(name, names)}"
+
+
+def _did_you_mean(name: str, possibilities) -> str:
+    """A hint naming the possibilities closest to a mistyped ``name``."""
+    from difflib import get_close_matches  # only a mistyped name needs it
+
+    close = sorted(get_close_matches(name, possibilities))
+    listed = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f" (Did you mean one of: {listed}?)"
+    return f" Did you mean {listed}?" if close else ""
+
+
+def _convert(values: dict, options) -> None:
+    """Read each int and choice value from its text, in the order the
+    options were first given."""
+    names = {dest: (name, kind) for name, dest, kind, _ in options}
+    for dest, value in values.items():
+        name, kind = names[dest]
+        if kind == INT:
+            try:
+                values[dest] = int(value)
+            except ValueError:
+                raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} "
+                                 "is not a valid integer.") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} is not "
+                             f"one of {', '.join(map(repr, kind))}.")
+
+
+def _program_name() -> str:
+    """The program as it was run: ``python -m`` and a module, or a script."""
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    if spec is None:
+        return os.path.basename(sys.argv[0])
+    return "python -m " + spec.name.removesuffix(".__main__")
+
+
+def _help(command: str | None = None) -> str:
+    """The help text of ``command``, or of the program when it is None."""
+    from textwrap import fill, wrap  # only help needs it
+
+    def definitions(heading: str, rows: list[tuple[str, str]]) -> list[str]:
+        # Each term in a column at most 30 wide, its text wrapped beside it;
+        # a longer term has a line to itself.
+        first = min(max(len(term) for term, _ in rows), 30) + 2
+        lines = ["", heading]
+        for term, text in rows:
+            wrapped = wrap(text, 76 - first)
+            if not wrapped:
+                lines.append(f"  {term}")
+            elif len(term) <= first - 2:
+                lines.append(f"  {term:<{first}}{wrapped[0]}")
+            else:
+                lines += [f"  {term}", " " * (first + 2) + wrapped[0]]
+            lines += [" " * (first + 2) + line for line in wrapped[1:]]
+        return lines
+
+    if command is None:
+        usage, about, options = "[OPTIONS] COMMAND [ARGS]...", _ABOUT, [_HELP]
+    else:
+        function, argument, options = COMMANDS[command]
+        usage = f"{command} [OPTIONS] {argument}"
+        about = " ".join(function.__doc__.split())
+    rows = []
+    for name, _, kind, text in options:
+        metavar = ("[" + "|".join(kind) + "]" if isinstance(kind, tuple)
+                   else _METAVARS.get(kind))
+        rows.append((name.replace("/", " / ") + (f" {metavar}" if metavar else ""), text))
+    lines = [f"Usage: {_program_name()} {usage}", "",
+             fill(about, 78, initial_indent="  ", subsequent_indent="  "),
+             *definitions("Options:", rows)]
+    if command is None:
+        # Each command's summary: its first line cut to fit, at a word.
+        room = 72 - max(map(len, COMMANDS))
+        summaries = []
+        for name, (function, _, _) in sorted(COMMANDS.items()):
+            text = " ".join(function.__doc__.split())
+            if len(text) > room:
+                text = text[:room - 2].rsplit(" ", 1)[0] + "..."
+            summaries.append((name, text))
+        lines += definitions("Commands:", summaries)
+    return "\n".join(lines)
+
+
+def _run(args: list[str]) -> None:
+    """Run the command that ``args`` name, or print the help they ask for."""
+    if not args:
+        raise UsageError(_help())
+    values, rest = _parse(args, [_HELP], interspersed=False)
+    if values:
+        _echo(_help() + "\n")
+        return
+    if not rest:
+        raise UsageError("Missing command.")
+    command, *rest = rest
+    if command not in COMMANDS:
+        raise UsageError(f"No such command {excerpt(command)}."
+                         + _did_you_mean(command, COMMANDS))
+    function, argument, options = COMMANDS[command]
+    values, positional = _parse(rest, options)
+    if values.pop("help", False):
+        _echo(_help(command) + "\n")
+        return
+    _convert(values, options)
+    if not positional:
+        raise UsageError(f"Missing argument {argument!r}.")
+    if len(positional) > 1:
+        extra = positional[1:]
+        shown = " ".join(a if len(a) <= 40 and a.isprintable() else excerpt(a)
+                         for a in extra)
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                         f"({shown})")
+    function(positional[0], **values)
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so that the flush at exit does not
+    meet a broken pipe again and print a warning."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # not a file: nothing to flush at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:  # a UsageError among them
-        args = sys.argv[1:] if argv is None else argv
-        click.echo(f"error: {_cut_arguments(exc.format_message(), args)}", err=True)
-        return 1
-    except click.exceptions.Abort:
+        _run(sys.argv[1:] if argv is None else argv)
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
         return 1
     except OutputError as exc:
-        click.echo(f"error: cannot write output: {exc}", err=True)
+        if exc.errno == errno.EPIPE:  # the reader is gone: end without a word
+            _silence_stdout()
+        else:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # InputFormatError and TreeError among them
-        click.echo(f"error: {exc}", err=True)
+    except ValueError as exc:  # UsageError, InputFormatError and TreeError among them
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -462,6 +462,15 @@ def test_allocation_repr_and_comparison_with_a_foreign_type():
     assert Allocation({1: 1}, 1) != 1 and not Allocation({1: 1}, 1) == 1
 
 
+def test_allocation_repr_writes_ints_past_the_digit_limit():
+    allocation = Allocation({10**4400: -(10**5000) - 1, 2: 3}, 7**6000)
+    with _int_digit_limit(4300):
+        text = repr(allocation)
+    with _int_digit_limit(0):
+        assert text == f"Allocation({allocation.numerators!r}, {allocation.denominator!r})"
+        assert eval(text, {"Allocation": Allocation}) == allocation
+
+
 # Each error below quotes a value through ``excerpt``. With the digit limit
 # in force, a repr that holds a longer int shows as its type; with the limit
 # lifted, the repr is cut like any long text. Either way the error keeps its

@@ -1,6 +1,7 @@
 """The package's top-level names are the ones README documents, they load
-their modules on first use, each command loads only the modules it runs, no
-module loads ``dataclasses``, and README's quick tour runs as written."""
+their modules on first use, each command loads only the modules it runs and
+no third-party module, no module loads ``dataclasses``, and README's quick
+tour runs as written."""
 
 from __future__ import annotations
 
@@ -78,6 +79,7 @@ def _child(code: str, *args: str) -> object:
 
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('treeshare.'))"
+PACKAGES = "sorted({m.partition('.')[0] for m in sys.modules})"
 
 
 def test_importing_the_package_loads_no_module_and_dir_lists_every_name():
@@ -92,7 +94,7 @@ import contextlib, io, json, sys
 from treeshare.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, {LOADED}]))
+print(json.dumps([code, {LOADED}, {PACKAGES}]))
 """
 SHARED = ["allocation", "cli", "games", "io", "shapley", "tree"]
 
@@ -105,15 +107,18 @@ SHARED = ["allocation", "cli", "games", "io", "shapley", "tree"]
 ], ids=["stream", "compute", "verify", "count"])
 def test_each_command_loads_only_the_modules_it_runs(args, also):
     *flags, name = args
-    code, loaded = _child(RUN_COMMAND, *flags, str(GOLDEN / name))
+    code, loaded, packages = _child(RUN_COMMAND, *flags, str(GOLDEN / name))
     assert code == 0
     assert loaded == [f"treeshare.{m}" for m in sorted(SHARED + also)]
+    # What the interpreter loads before any import (``site`` may load
+    # packages through ``.pth`` files) does not count.
+    before = _child(f"import json, sys; print(json.dumps({PACKAGES}))")
+    third_party = set(packages) - set(before) - set(sys.stdlib_module_names)
+    assert third_party == {"treeshare"}
 
 
 def test_no_module_loads_dataclasses():
-    # ``cli`` is left out, so that click's own imports do not count.
-    names = sorted(m.name for m in pkgutil.iter_modules(treeshare.__path__)
-                   if m.name != "cli")
+    names = sorted(m.name for m in pkgutil.iter_modules(treeshare.__path__))
     loaded, dataclasses = _child(
         "import importlib, json, sys\n"
         "for name in sys.argv[1:]: importlib.import_module('treeshare.' + name)\n"

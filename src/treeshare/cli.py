@@ -10,6 +10,8 @@ import os
 import sys
 from itertools import chain
 
+# ``analysis`` and ``mechanisms`` are imported only by the commands that run
+# them.
 from .allocation import decimal_text, exact_and_display, excerpt
 from .io import (
     OUTPUT_FORMATS,
@@ -368,7 +370,7 @@ def _help(command: str | None = None) -> str:
              fill(about, 78, initial_indent="  ", subsequent_indent="  "),
              *definitions("Options:", rows)]
     if command is None:
-        # Each command's summary: its first line cut to fit, at a word.
+        # Each command's description, cut at a word to fit on its line.
         room = 72 - max(map(len, COMMANDS))
         summaries = []
         for name, (function, _, _) in sorted(COMMANDS.items()):
@@ -385,7 +387,7 @@ def _run(args: list[str]) -> None:
     if not args:
         raise UsageError(_help())
     values, rest = _parse(args, [_HELP], interspersed=False)
-    if values:
+    if values:  # --help
         _echo(_help() + "\n")
         return
     if not rest:

@@ -1035,8 +1035,9 @@ CHILD = [sys.executable, "-m", "treeshare.cli"]
 # The child's stdout is buffered, as it is by default, so that a write that
 # fails can leave bytes for the flush at exit.
 CHILD_ENV = {name: value for name, value in os.environ.items()
-             if name != "PYTHONUNBUFFERED"} | {"PYTHONPATH": os.pathsep.join(
-                 [str(GOLDEN.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+             if name != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(GOLDEN.parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 USAGE_ANY = r"Usage: .*"

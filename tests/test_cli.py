@@ -654,7 +654,20 @@ def test_a_usage_error_cuts_a_long_value(args, message, capsys):
     (["count", "f9.json", "it's", "a'b"], "Got unexpected extra arguments (it's a'b)"),
     (["count", "f9.json", "a\nb"], "Got unexpected extra argument ('a\\nb')"),
     (["compute"], "Missing argument 'TREEFILE'."),
-], ids=["unknown-option", "newline", "quotes", "bare-newline", "missing-argument"])
+    (["comptue", "f9.json"], "No such command 'comptue'. Did you mean 'compute'?"),
+    (["compute", "f9.json", "--mechanisn", "shapley"],
+     "No such option '--mechanisn'. Did you mean '--mechanism'?"),
+    (["compute", "f9.json", "-x"], "No such option '-x'."),
+    (["compute", "f9.json", "---x"], "No such option '---x'."),
+    (["compute", "f9.json", "--=x"], "No such option '--'."),
+    (["--bogus", "compute", "f9.json"], "No such option '--bogus'."),
+    (["count", "f9.json", "--no-strict=1"], "Option '--no-strict' does not take a value."),
+    (["--"], "Missing command."),
+    (["compute", "f9.json", "--bogus", "--help"], "No such option '--bogus'."),
+], ids=["unknown-option", "newline", "quotes", "bare-newline", "missing-argument",
+        "mistyped-command", "mistyped-option", "short-option", "three-dashes",
+        "empty-name", "option-before-command", "pair-with-value", "double-dash-only",
+        "unknown-option-before-help"])
 def test_a_short_usage_error_is_printed_as_click_wrote_it(args, message, capsys):
     code, _, err = run(capsys, *args)
     assert (code, err) == (1, f"error: {message}\n")
@@ -1061,6 +1074,8 @@ CONTRACT = {
                             "SKIPPED  core membership (n=9 exceeds core limit 6)\n") + ".*",
                         ""),
     "help": (["--help"], b"", 0, USAGE_ANY, ""),
+    "help-before-a-bad-value": (["compute", "f9.json", "--help", "--format", "x"], b"", 0,
+                                USAGE_ANY, ""),
     **{f"{command}-help": ([command, "--help"], b"", 0, USAGE_ANY, "")
        for command in ("compute", "stream", "verify", "count")},
     "no-arguments": ([], b"", 1, "", "error: " + USAGE_ANY),

@@ -13,6 +13,7 @@ from itertools import chain
 # ``analysis`` and ``mechanisms`` are imported only by the commands that run
 # them.
 from .allocation import decimal_text, exact_and_display, excerpt
+from .games import LIMIT_CEILING
 from .io import (
     OUTPUT_FORMATS,
     InputFormatError,
@@ -198,24 +199,27 @@ def count(treefile, strict=True) -> None:
                         for k, (c, w) in enumerate(zip(cells, widths))) + "\n")
 
 
-# The kinds of option. A flag is True when given; a ``--x/--no-x`` pair is
-# True or False; the others take a value: an int, a text shown as TEXT or
-# PATH, a text that may be given again (every value is kept), or one of a
-# tuple of choices, which is its own kind.
-FLAG, PAIR, INT, TEXT, PATH, REPEATED = "flag", "pair", "int", "text", "path", "repeated"
-_METAVARS = {INT: "INTEGER", TEXT: "TEXT", PATH: "PATH", REPEATED: "TEXT"}
+# The kinds of option, each the metavar that help shows. A flag takes no
+# value and is True when given, or False when given by the second name of a
+# ``--x/--no-x`` pair. The others take a value: an int, a text, a text that
+# may be given again (every value is kept), or one of a tuple of choices.
+FLAG, INT, TEXT, REPEATED = "", "INTEGER", "TEXT", "TEXT..."
 
 # Each option as (name, destination, kind, help); a destination is the
 # keyword argument that the command is called with.
 _HELP = ("--help", "help", FLAG, "Show this message and exit.")
+_CONFIG = ("--config", "config_path", TEXT, "JSON config file; flags override its entries.")
+_STRICT = ("--strict/--no-strict", "strict", FLAG, "Reject unknown fields in the tree file.")
 _RUN_OPTIONS = [
-    ("--config", "config_path", PATH, "JSON config file; flags override its entries."),
+    _CONFIG,
     ("--unit", "unit", TEXT, "Reward pool per referral, as 'p/q' or a decimal; a "
                              "negative unit is accepted and scales every reward."),
-    ("--root-adjust/--no-root-adjust", "root_adjust", PAIR,
+    ("--root-adjust/--no-root-adjust", "root_adjust", FLAG,
      "Charge the root one unit for its free signup."),
     ("--exact", "exact", FLAG, "Print exact rationals instead of rounded integers."),
-    ("--format", "output_format", OUTPUT_FORMATS, ""),
+    ("--format", "output_format", OUTPUT_FORMATS,
+     "Output format: an aligned table, one JSON object per row, or csv."),
+    _HELP,
 ]
 _ABOUT = "Referral-tree reward allocation with exact rational arithmetic."
 # Each command as (function, its argument's name, its options).
@@ -224,31 +228,27 @@ COMMANDS = {
         ("--mechanism", "mechanisms", REPEATED, "Mechanism to run (repeatable): "
          "shapley, refer-a-friend, geometric. Default: all three."),
         ("--ratio", "ratio", TEXT, "Geometric decay ratio in (0,1)."),
-        ("--normalize/--no-normalize", "normalize", PAIR,
+        ("--normalize/--no-normalize", "normalize", FLAG,
          "Scale geometric shares to pay out the whole pool."),
         ("--referrer-share", "referrer_share", TEXT,
          "Referrer's fraction of each refer-a-friend unit."),
-        ("--strict/--no-strict", "strict", PAIR, "Reject unknown fields in the tree file."),
-        *_RUN_OPTIONS, _HELP,
+        _STRICT, *_RUN_OPTIONS,
     ]),
     "stream": (stream, "EVENTLOG", [
         ("--root", "root", INT, "Id of the node that joined independently.  [default: 1]"),
         ("--quiet", "quiet", FLAG,
          "Print only the final allocation; builds no per-event deltas."),
-        *_RUN_OPTIONS, _HELP,
+        *_RUN_OPTIONS,
     ]),
     "verify": (verify, "TREEFILE", [
-        ("--limit-bruteforce", "limit_bruteforce", INT,
-         "Largest n for the brute-force oracle (default 10, 0 to 20)."),
-        ("--limit-core", "limit_core", INT,
-         "Largest n for the exhaustive core check (default 16, 0 to 20)."),
-        ("--limit-convex", "limit_convex", INT,
-         "Largest n for the convexity check (default 12, 0 to 20)."),
-        ("--config", "config_path", PATH, ""),
-        ("--strict/--no-strict", "strict", PAIR, ""),
-        _HELP,
+        *((f"--{field.replace('_', '-')}", field, INT, f"Largest n for the {check} "
+           f"(default {RunConfig._field_defaults[field]}, 0 to {LIMIT_CEILING}).")
+          for field, check in [("limit_bruteforce", "brute-force oracle"),
+                               ("limit_core", "exhaustive core check"),
+                               ("limit_convex", "convexity check")]),
+        _CONFIG, _STRICT, _HELP,
     ]),
-    "count": (count, "TREEFILE", [("--strict/--no-strict", "strict", PAIR, ""), _HELP]),
+    "count": (count, "TREEFILE", [_STRICT, _HELP]),
 }
 
 
@@ -274,9 +274,12 @@ def _parse(args: list[str], options, interspersed: bool = True) -> tuple[dict, l
         else:
             name, equals, value = arg.partition("=")
             if name not in names:
-                raise UsageError(_no_such_option(arg, names))
+                if name[:2] != "--":  # ``-xy`` is read as short options; none exist
+                    raise UsageError(f"No such option {excerpt(arg[:2])}.")
+                raise UsageError(f"No such option {excerpt(name)}."
+                                 + _did_you_mean(name, names))
             dest, kind, on = names[name]
-            if kind in (FLAG, PAIR):
+            if kind == FLAG:
                 if equals:
                     raise UsageError(f"Option {name!r} does not take a value.")
                 values[dest] = on
@@ -290,13 +293,6 @@ def _parse(args: list[str], options, interspersed: bool = True) -> tuple[dict, l
             else:
                 values[dest] = value
     return values, positional
-
-
-def _no_such_option(arg: str, names) -> str:
-    if not arg.startswith("--"):  # ``-xy`` is read as short options; none exist
-        return f"No such option {excerpt(arg[:2])}."
-    name = arg.partition("=")[0]
-    return f"No such option {excerpt(name)}.{_did_you_mean(name, names)}"
 
 
 def _did_you_mean(name: str, possibilities) -> str:
@@ -319,9 +315,12 @@ def _convert(values: dict, options) -> None:
         if kind == INT:
             try:
                 values[dest] = int(value)
-            except ValueError:
+            except ValueError:  # also for digits past the int-to-str digit limit
+                reason = (f"has more than {sys.get_int_max_str_digits()} digits"
+                          if value.removeprefix("-").isdecimal()
+                          else "is not a valid integer")
                 raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} "
-                                 "is not a valid integer.") from None
+                                 f"{reason}.") from None
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} is not "
                              f"one of {', '.join(map(repr, kind))}.")
@@ -336,49 +335,27 @@ def _program_name() -> str:
 
 
 def _help(command: str | None = None) -> str:
-    """The help text of ``command``, or of the program when it is None."""
-    from textwrap import fill, wrap  # only help needs it
+    """The help text of ``command``, or of the program when it is None: each
+    option and command on a line of its own, with its text wrapped below it."""
+    from textwrap import fill  # only help needs it
 
-    def definitions(heading: str, rows: list[tuple[str, str]]) -> list[str]:
-        # Each term in a column at most 30 wide, its text wrapped beside it;
-        # a longer term has a line to itself.
-        first = min(max(len(term) for term, _ in rows), 30) + 2
-        lines = ["", heading]
-        for term, text in rows:
-            wrapped = wrap(text, 76 - first)
-            if not wrapped:
-                lines.append(f"  {term}")
-            elif len(term) <= first - 2:
-                lines.append(f"  {term:<{first}}{wrapped[0]}")
-            else:
-                lines += [f"  {term}", " " * (first + 2) + wrapped[0]]
-            lines += [" " * (first + 2) + line for line in wrapped[1:]]
-        return lines
+    def wrapped(text: str, indent: str) -> str:
+        return fill(" ".join(text.split()), 78, initial_indent=indent,
+                    subsequent_indent=indent)
 
     if command is None:
         usage, about, options = "[OPTIONS] COMMAND [ARGS]...", _ABOUT, [_HELP]
     else:
         function, argument, options = COMMANDS[command]
-        usage = f"{command} [OPTIONS] {argument}"
-        about = " ".join(function.__doc__.split())
-    rows = []
+        usage, about = f"{command} [OPTIONS] {argument}", function.__doc__
+    lines = [f"Usage: {_program_name()} {usage}", "", wrapped(about, "  "), "", "Options:"]
     for name, _, kind, text in options:
-        metavar = ("[" + "|".join(kind) + "]" if isinstance(kind, tuple)
-                   else _METAVARS.get(kind))
-        rows.append((name.replace("/", " / ") + (f" {metavar}" if metavar else ""), text))
-    lines = [f"Usage: {_program_name()} {usage}", "",
-             fill(about, 78, initial_indent="  ", subsequent_indent="  "),
-             *definitions("Options:", rows)]
+        metavar = "[" + "|".join(kind) + "]" if isinstance(kind, tuple) else kind
+        lines += [f"  {name.replace('/', ' / ')} {metavar}".rstrip(), wrapped(text, " " * 6)]
     if command is None:
-        # Each command's description, cut at a word to fit on its line.
-        room = 72 - max(map(len, COMMANDS))
-        summaries = []
+        lines += ["", "Commands:"]
         for name, (function, _, _) in sorted(COMMANDS.items()):
-            text = " ".join(function.__doc__.split())
-            if len(text) > room:
-                text = text[:room - 2].rsplit(" ", 1)[0] + "..."
-            summaries.append((name, text))
-        lines += definitions("Commands:", summaries)
+            lines += [f"  {name}", wrapped(function.__doc__, " " * 6)]
     return "\n".join(lines)
 
 

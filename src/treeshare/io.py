@@ -332,11 +332,8 @@ class RunConfig(NamedTuple):
         return [specs[kind] for kind in self.mechanisms]
 
     def updated(self, **entries) -> "RunConfig":
-        """A copy with the entries parsed and applied as config-file entries
-        are; an entry that is None or empty (a flag not given) keeps its field.
-        """
-        given = {k: v for k, v in entries.items() if v is not None and v != ()}
-        return self._replace(**_parse_fields(given)) if given else self
+        """A copy with every entry parsed and applied as a config-file entry is."""
+        return self._replace(**_parse_fields(entries))
 
 
 def _json_bool(value: object) -> bool:

@@ -24,6 +24,7 @@ from treeshare import IncrementalState
 from treeshare import io as treeshare_io
 from treeshare.allocation import exact_and_display, round_half_away_from_zero
 from treeshare.cli import CHUNK_ROWS, DELTA_CHUNK_LINES, main
+from treeshare.games import LIMIT_CEILING
 from treeshare.io import (
     RunConfig,
     parse_event_log,
@@ -671,6 +672,89 @@ def test_a_usage_error_cuts_a_long_value(args, message, capsys):
 def test_a_short_usage_error_is_printed_as_click_wrote_it(args, message, capsys):
     code, _, err = run(capsys, *args)
     assert (code, err) == (1, f"error: {message}\n")
+
+
+def _digits_past_the_limit() -> str:
+    return "1" + "0" * sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("command,flag", [
+    ("stream", "--root"), ("verify", "--limit-bruteforce"), ("verify", "--limit-core"),
+    ("verify", "--limit-convex"),
+])
+def test_an_int_option_past_the_digit_limit_is_named_as_such(command, flag, sign, capsys):
+    value = sign + _digits_past_the_limit()
+    code, out, err = run(capsys, command, _golden_input(command), flag, value)
+    assert (code, out) == (1, "")
+    assert err == (f"error: Invalid value for {flag!r}: {value[:20]!r}… ({len(value)} "
+                   f"characters) has more than {sys.get_int_max_str_digits()} digits.\n")
+
+
+# The options that more than one command takes, with their descriptions.
+SHARED_OPTIONS = {
+    "--config": "JSON config file; flags override its entries.",
+    "--unit": "Reward pool per referral, as 'p/q' or a decimal; a negative unit is "
+              "accepted and scales every reward.",
+    "--root-adjust / --no-root-adjust": "Charge the root one unit for its free signup.",
+    "--exact": "Print exact rationals instead of rounded integers.",
+    "--format": "Output format: an aligned table, one JSON object per row, or csv.",
+    "--strict / --no-strict": "Reject unknown fields in the tree file.",
+    "--help": "Show this message and exit.",
+}
+RUN_OPTIONS = ["--config", "--unit", "--root-adjust / --no-root-adjust", "--exact",
+               "--format", "--help"]
+
+
+def _shared(*names: str) -> dict:
+    return {name: SHARED_OPTIONS[name] for name in names}
+
+
+# Every option of the program (None) and of each command, with its description.
+HELP_OPTIONS = {
+    None: _shared("--help"),
+    "compute": {
+        "--mechanism": "Mechanism to run (repeatable): shapley, refer-a-friend, "
+                       "geometric. Default: all three.",
+        "--ratio": "Geometric decay ratio in (0,1).",
+        "--normalize / --no-normalize": "Scale geometric shares to pay out the whole pool.",
+        "--referrer-share": "Referrer's fraction of each refer-a-friend unit.",
+        **_shared("--strict / --no-strict", *RUN_OPTIONS),
+    },
+    "stream": {
+        "--root": "Id of the node that joined independently.  [default: 1]",
+        "--quiet": "Print only the final allocation; builds no per-event deltas.",
+        **_shared(*RUN_OPTIONS),
+    },
+    "verify": {
+        **{f"--{field.replace('_', '-')}": f"Largest n for the {check} (default "
+           f"{RunConfig._field_defaults[field]}, 0 to {LIMIT_CEILING})."
+           for field, check in [("limit_bruteforce", "brute-force oracle"),
+                                ("limit_core", "exhaustive core check"),
+                                ("limit_convex", "convexity check")]},
+        **_shared("--config", "--strict / --no-strict", "--help"),
+    },
+    "count": _shared("--strict / --no-strict", "--help"),
+}
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS, ids=lambda c: c or "program")
+def test_help_describes_every_option(command, capsys):
+    code, out, err = run(capsys, *filter(None, [command, "--help"]))
+    assert (code, err) == (0, "")
+    assert out.startswith("Usage: ")
+    assert max(map(len, out.splitlines())) <= 78
+    words = " ".join(out.split())
+    for name, description in HELP_OPTIONS[command].items():
+        # The name, a metavar if it takes a value, then its description, each
+        # run of spaces and newlines read as one space.
+        description = " ".join(description.split())
+        assert re.search(rf"(?:^| ){re.escape(name)}(?: \S+)? {re.escape(description)}",
+                         words), name
+    if command is None:
+        for name in ("compute", "stream", "verify", "count"):
+            assert re.search(rf"^  {name}\b", out, re.MULTILINE), name
 
 
 def test_verify_failure_exits_two(example_file, capsys, monkeypatch):

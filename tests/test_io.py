@@ -462,10 +462,10 @@ def test_config_defaults_and_overrides():
     config = RunConfig()
     assert config.mechanisms == ("refer_a_friend", "geometric", "shapley")
     assert config.unit == 1
-    updated = config.updated(unit=Fraction(1000), exact=True, root_adjust=None)
+    updated = config.updated(unit=Fraction(1000), exact=True)
     assert updated.unit == 1000
     assert updated.exact
-    assert updated.root_adjust  # None means "keep"
+    assert updated.root_adjust
 
 
 def test_config_mechanism_aliases_and_validation():

@@ -674,10 +674,6 @@ def test_a_short_usage_error_is_printed_as_click_wrote_it(args, message, capsys)
     assert (code, err) == (1, f"error: {message}\n")
 
 
-def _digits_past_the_limit() -> str:
-    return "1" + "0" * sys.get_int_max_str_digits()
-
-
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
 @pytest.mark.parametrize("sign", ["", "-"])
 @pytest.mark.parametrize("command,flag", [
@@ -685,7 +681,7 @@ def _digits_past_the_limit() -> str:
     ("verify", "--limit-convex"),
 ])
 def test_an_int_option_past_the_digit_limit_is_named_as_such(command, flag, sign, capsys):
-    value = sign + _digits_past_the_limit()
+    value = sign + "1" + "0" * sys.get_int_max_str_digits()  # one digit too many
     code, out, err = run(capsys, command, _golden_input(command), flag, value)
     assert (code, out) == (1, "")
     assert err == (f"error: Invalid value for {flag!r}: {value[:20]!r}… ({len(value)} "

@@ -257,6 +257,8 @@ class Allocation:
     def split(self, size: int) -> Iterator["Allocation"]:
         """The allocation in pieces of at most ``size`` nodes, in ascending
         node order, over the same denominator."""
+        if size < 1:
+            raise ValueError(f"split size must be at least 1, got {excerpt(size)}")
         numerators, denominator = self.numerators, self.denominator
         nodes = sorted(numerators)
         for start in range(0, len(nodes), size):

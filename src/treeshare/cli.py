@@ -18,6 +18,7 @@ from .io import (
     OUTPUT_FORMATS,
     InputFormatError,
     RunConfig,
+    _INTEGER,
     load_config,
     parse_event_log,
     parse_tree_file,
@@ -313,14 +314,14 @@ def _convert(values: dict, options) -> None:
     for dest, value in values.items():
         name, kind = names[dest]
         if kind == INT:
-            try:
-                values[dest] = int(value)
-            except ValueError:  # also for digits past the int-to-str digit limit
-                reason = (f"has more than {sys.get_int_max_str_digits()} digits"
-                          if value.removeprefix("-").isdecimal()
-                          else "is not a valid integer")
-                raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} "
-                                 f"{reason}.") from None
+            reason = "is not a valid integer"
+            if _INTEGER.fullmatch(value):  # the log's rule; ``int`` alone is laxer
+                try:
+                    values[dest] = int(value)
+                    continue
+                except ValueError:  # digits past the int-to-str digit limit
+                    reason = f"has more than {sys.get_int_max_str_digits()} digits"
+            raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} {reason}.")
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"Invalid value for {name!r}: {excerpt(value)} is not "
                              f"one of {', '.join(map(repr, kind))}.")

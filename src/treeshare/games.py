@@ -58,10 +58,10 @@ class ValueFunction:
       trimmed coalition of the tree. Querying an uncovered nonempty set is
       an error, never a silent 0.
 
-    ``shapley_value`` takes the trimmed-coalition sum for the last three,
-    with one ``f`` call per trimmed coalition. The empty set is worth 0 in
-    every class. ``scale`` multiplies every value, composes under repeated
-    scaling and keeps the type.
+    ``shapley_value`` takes that closed form for ``linear``, shares weighted,
+    and for the last two one ``f`` call per trimmed coalition. The empty set
+    is worth 0 in every class. ``scale`` multiplies every value, composes
+    under repeated scaling and keeps the type.
     """
 
     def __init__(self) -> None:

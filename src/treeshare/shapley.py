@@ -24,7 +24,7 @@ from itertools import islice
 from math import factorial, gcd, lcm
 
 from .allocation import Allocation, as_fraction, common_numerators, excerpt
-from .games import SizeLimitError, TreeGame, _Basic, coalition_values_by_mask
+from .games import SizeLimitError, TreeGame, _Basic, _Linear, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
 
 
@@ -34,6 +34,14 @@ def _depth_shares(height: int) -> tuple[int, list[int]]:
     return common, [common // (d + 1) for d in range(height + 1)]
 
 
+def _subtree_sums(tree: RootedTree, start: list[int]) -> list[int]:
+    """Per-rank ``start`` numerators, each plus its descendants', in place."""
+    parents = tree._parents
+    for r in range(tree.n - 1, 0, -1):
+        start[parents[r]] += start[r]
+    return start
+
+
 def shapley_basic(tree: RootedTree) -> Allocation:
     """Exact Shapley rewards for the unit-per-member game, in linear time.
 
@@ -41,12 +49,9 @@ def shapley_basic(tree: RootedTree) -> Allocation:
     ``1/(d+1)``, so one bottom-up pass of subtree sums covers every node.
     The rewards always sum to ``n``.
     """
-    parents = tree._parents
     common, share = _depth_shares(tree.height)
-    acc = [share[d] for d in tree._depths]
-    for r in range(tree.n - 1, 0, -1):
-        acc[parents[r]] += acc[r]
-    return Allocation.owning(dict(zip(tree._ids, acc)), common)
+    numerators = _subtree_sums(tree, [share[d] for d in tree._depths])
+    return Allocation.owning(dict(zip(tree._ids, numerators)), common)
 
 
 def _reduced(tree: RootedTree, numerators: list[int], denominator: int) -> Allocation:
@@ -158,13 +163,19 @@ def shapley_general(game: TreeGame) -> Allocation:
 def shapley_value(game: TreeGame) -> Allocation:
     """Shapley rewards by the cheapest exact route for the game at hand.
 
-    Unit-per-member games (at any scale) use the linear-time closed form and
-    the linearity of the Shapley value under scaling; everything else goes
-    through the trimmed-coalition sum.
+    Unit-per-member games take the closed form, scaled; linear games, sums
+    of unanimity games on root paths, the same fold with each share times
+    its member's scaled weight; the rest, the trimmed-coalition sum.
     """
-    if isinstance(game.f, _Basic):
-        base = shapley_basic(game.tree)
-        return base if game.f.scale == 1 else base.scaled(game.f.scale)
+    tree, f = game.tree, game.f
+    if isinstance(f, _Basic):
+        base = shapley_basic(tree)
+        return base if f.scale == 1 else base.scaled(f.scale)
+    if isinstance(f, _Linear):
+        weights, denominator = common_numerators([f.scale * f.weights[i] for i in tree._ids])
+        common, share = _depth_shares(tree.height)
+        start = [w * share[d] for w, d in zip(weights, tree._depths)]
+        return _reduced(tree, _subtree_sums(tree, start), denominator * common)
     return shapley_general(game)
 
 

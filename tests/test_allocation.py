@@ -250,6 +250,13 @@ def test_split_pieces_cover_the_nodes_in_ascending_order(size):
         == numerators
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_split_refuses_a_size_below_one(size):
+    # Not an empty result for -1, nor range()'s own error for 0.
+    with pytest.raises(ValueError, match=f"^split size must be at least 1, got {size}$"):
+        list(Allocation({1: 1, 2: 2, 3: 3}, 1).split(size))
+
+
 # -- the integer core against a Fraction reference ----------------------------
 
 def _parent_map(edges):

@@ -688,6 +688,22 @@ def test_an_int_option_past_the_digit_limit_is_named_as_such(command, flag, sign
                    f"characters) has more than {sys.get_int_max_str_digits()} digits.\n")
 
 
+@pytest.mark.parametrize("args, value", [
+    (["verify", "--limit-core", "+1"], "+1"),
+    (["verify", "--limit-core", " 1 "], " 1 "),
+    (["verify", "--limit-core", "\u0661"], "\u0661"),  # an Arabic-Indic one
+    (["stream", "--quiet", "--root", "\u0661"], "\u0661"),
+    (["stream", "--quiet", "--root", "1_0"], "1_0"),
+], ids=["plus-sign", "spaces", "arabic-indic-one", "root-arabic-indic-one",
+        "root-underscore"])
+def test_an_int_option_takes_only_ascii_digits(args, value, capsys):
+    # The event log's rule: int() would read each of these, 1_0 as node 10.
+    command, *flags = args
+    code, out, err = run(capsys, command, _golden_input(command), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: Invalid value for {flags[-2]!r}: {value!r} is not a valid integer.\n"
+
+
 # The options that more than one command takes, with their descriptions.
 SHARED_OPTIONS = {
     "--config": "JSON config file; flags override its entries.",

@@ -84,6 +84,19 @@ def test_strict_mode_rejects_unknown_fields():
     assert parse_tree_file(edge_doc, strict=False).tree.n == 2
 
 
+@pytest.mark.parametrize("doc, strict, message", [
+    ('{"child": 1, "parent": 2}', True, "unknown fields ['child', 'parent'] in tree document"),
+    ('{"child": 1, "parent": 2}', False, "tree document is missing the 'root' field"),
+    ('{"parent": 2, "child": 1}', False, "tree document is missing the 'root' field"),
+    ('{"root": 1, "edges": [], "labels": {"child": 1, "parent": 2}}', True,
+     "label key 'child' is not a node id"),
+], ids=["edge-as-document", "edge-as-document-lenient", "edge-as-document-reordered",
+        "edge-as-labels"])
+def test_a_tree_document_shaped_like_an_edge_keeps_its_message(doc, strict, message):
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_tree_file(doc, strict=strict)
+
+
 def test_labels_parsed_and_validated():
     doc = '{"root": 1, "edges": [{"child": 2, "parent": 1}], "labels": {"2": "bo"}}'
     document = parse_tree_file(doc)

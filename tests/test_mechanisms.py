@@ -151,6 +151,23 @@ def test_geometric_ratio_validation():
         Geometric(1, ratio=0)
 
 
+SPEC_FLAGS = [(EqualShares, "root_adjust"), (Geometric, "normalize")]
+
+
+@pytest.mark.parametrize("spec, flag", SPEC_FLAGS)
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_spec_flags_refuse_what_is_not_a_boolean(spec, flag, value):
+    # "no" is truthy: kept as it is, it would charge the root.
+    with pytest.raises(ValueError, match="expected true or false"):
+        spec(1000, **{flag: value})
+
+
+@pytest.mark.parametrize("spec, flag", SPEC_FLAGS)
+@pytest.mark.parametrize("value", [True, False])
+def test_spec_flags_keep_a_boolean(spec, flag, value):
+    assert getattr(spec(1000, **{flag: value}), flag) is value
+
+
 # -- shapley mechanism -----------------------------------------------------------
 
 def test_shapley_mechanism_example(example_tree):

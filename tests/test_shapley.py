@@ -268,6 +268,37 @@ def test_dispatcher_takes_the_closed_form_for_a_scaled_basic_game(monkeypatch):
     assert shapley_value(scale_game(basic_game(tree), k)) == shapley_basic(tree).scaled(k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seeded_trees(max_nodes=12),
+       st.lists(st.one_of(st.integers(-9, 9), st.fractions(-5, 5, max_denominator=12)),
+                min_size=12, max_size=12),
+       st.sampled_from([1, 3, Fraction(-7, 3), 0]))
+def test_dispatcher_folds_a_linear_game_to_the_general_route_exactly(tree, weights, k):
+    f = ValueFunction.linear(dict(zip(tree.node_ids, weights)))
+    game = TreeGame(tree, f.scaled(k))
+    folded, general = shapley_value(game), shapley_general(game)
+    assert (folded.numerators, folded.denominator) == (general.numerators, general.denominator)
+    if tree.n <= 10:
+        assert folded.rewards == shapley_bruteforce(game).rewards
+
+
+def test_dispatcher_takes_the_fold_for_a_linear_game(monkeypatch):
+    # Each member's weight is shared equally along its root path: a leaf of
+    # the star keeps half of its own, and the root takes the other halves.
+    def refuse(game):
+        raise AssertionError("shapley_value took the general route")
+
+    monkeypatch.setattr("treeshare.shapley.shapley_general", refuse)
+    tree = star(40)
+    weights = {i: Fraction(i - 20, 3) for i in tree.node_ids}
+    k = Fraction(-7, 2)
+    leaves = [i for i in tree.node_ids if i != tree.root]
+    expected = {i: k * weights[i] / 2 for i in leaves}
+    expected[tree.root] = k * (weights[tree.root] + sum(weights[i] for i in leaves) / 2)
+    folded = shapley_value(TreeGame(tree, ValueFunction.linear(weights).scaled(k)))
+    assert folded.rewards == expected
+
+
 def test_scaling_linearity_on_general_games():
     rng = random.Random(59)
     tree = build_tree(random_tree_edges(rng, 6), 1)

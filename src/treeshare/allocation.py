@@ -256,16 +256,21 @@ class Allocation:
 
     def split(self, size: int) -> Iterator["Allocation"]:
         """The allocation in pieces of at most ``size`` nodes, in ascending
-        node order, over the same denominator."""
+        node order, over the same denominator. ``size`` is checked at the
+        call; the pieces are made as they are iterated."""
+        if size.__class__ is not int:  # not True, 2.5 or "2"
+            raise ValueError(f"split size must be an integer, got {excerpt(size)}")
         if size < 1:
             raise ValueError(f"split size must be at least 1, got {excerpt(size)}")
         numerators, denominator = self.numerators, self.denominator
         nodes = sorted(numerators)
-        for start in range(0, len(nodes), size):
-            yield Allocation.owning(
+        return (
+            Allocation.owning(
                 {node: numerators[node] for node in nodes[start:start + size]},
                 denominator,
             )
+            for start in range(0, len(nodes), size)
+        )
 
     def __add__(self, other: "Allocation") -> "Allocation":
         denominator = lcm(self.denominator, other.denominator)

@@ -24,11 +24,12 @@ LIMIT_CEILING = 20
 
 
 def _listed(members: Iterable) -> str:
-    """A set's members for a message, sorted where they compare, cut by ``excerpt``."""
+    """A set's members for a message, sorted where they compare and else by
+    their text, so that no hash seed orders them; cut by ``excerpt``."""
     try:
         return excerpt(sorted(members))
     except TypeError:  # (1, "a"): members of mixed types
-        return excerpt(list(members))
+        return excerpt(sorted(members, key=excerpt))
 
 
 class SizeLimitError(ValueError):

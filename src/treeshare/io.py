@@ -336,10 +336,12 @@ class RunConfig(NamedTuple):
         return self._replace(**_parse_fields(entries))
 
 
-def _json_bool(value: object) -> bool:
-    """Only JSON ``true``/``false``; strings and numbers are not booleans."""
+def _json_bool(value: object, name: str | None = None) -> bool:
+    """Only JSON ``true``/``false``; strings and numbers are not booleans.
+    A ``name`` leads the message; a config entry is named by its field."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {excerpt(value)}")
+        message = f"expected true or false, got {excerpt(value)}"
+        raise ValueError(message if name is None else f"{name}: {message}")
     return value
 
 

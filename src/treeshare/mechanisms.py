@@ -53,7 +53,7 @@ class Geometric:
                  normalize: bool = True) -> None:
         self.unit_value = as_fraction(unit_value)
         self.ratio = as_fraction(ratio)
-        self.normalize = _json_bool(normalize)
+        self.normalize = _json_bool(normalize, "normalize")
         if not 0 < self.ratio < 1:
             raise ValueError("geometric ratio must lie strictly between 0 and 1")
 
@@ -65,7 +65,7 @@ class EqualShares:
 
     def __init__(self, unit_value: RationalLike = 1, root_adjust: bool = True) -> None:
         self.unit_value = as_fraction(unit_value)
-        self.root_adjust = _json_bool(root_adjust)
+        self.root_adjust = _json_bool(root_adjust, "root_adjust")
 
 
 MechanismSpec = ReferAFriend | Geometric | EqualShares

@@ -67,14 +67,14 @@ class RootedTree:
                 raise TreeError(f"cycle detected at node {child}")
             parent_of[child] = parent
 
-        nodes = {root}
-        nodes.update(parent_of)
-        nodes.update(parent_of.values())
+        # Parents that are neither the root nor a child are met by the walks.
+        nodes = tuple(sorted({root, *parent_of}))
 
-        # A node whose parent has a depth takes the next; any other walks up,
-        # which doubles as cycle/reachability detection off the root. A root
-        # with a parent gets no depth and starts the first walk, which always
-        # raises: at a cycle through the root, or where the walk ends.
+        # Walks start at the root, then at each child in ascending id order,
+        # so a malformed tree's message names the first defect met that way;
+        # for a cycle, the node where the walk re-enters it. A node whose
+        # parent has a depth takes the next; any other walks up. A root with
+        # a parent gets no depth and its walk always raises.
         depth: dict[int, int] = {} if root in parent_of else {root: 0}
         for start in itertools.chain((root,), nodes):
             if start in depth:
@@ -83,21 +83,19 @@ class RootedTree:
             if base is not None:
                 depth[start] = base + 1
                 continue
-            chain: list[int] = []
-            on_chain: set[int] = set()
+            walk: dict[int, None] = {}  # insertion-ordered set of the path
             cur = start
             while cur not in depth:
-                if cur in on_chain:
+                if cur in walk:
                     raise TreeError(f"cycle detected involving node {cur}")
-                chain.append(cur)
-                on_chain.add(cur)
+                walk[cur] = None
                 if cur not in parent_of:
-                    if root in on_chain:
+                    if root in walk:
                         raise TreeError(f"root {root} has a parent")
                     raise TreeError(f"node {cur} unreachable from root {root}")
                 cur = parent_of[cur]
             base = depth[cur]
-            for offset, member in enumerate(reversed(chain), start=1):
+            for offset, member in enumerate(reversed(walk), start=1):
                 depth[member] = base + offset
 
         # Canonical order: ascending ids when every edge points id-upward
@@ -105,7 +103,7 @@ class RootedTree:
         # deterministic enumeration contract is stated in), otherwise by
         # (depth, id). Both guarantee parents precede children, so the root
         # has rank 0.
-        order = sorted_ids = tuple(sorted(nodes))
+        order = sorted_ids = nodes
         if not all(map(lt, parent_of.values(), parent_of)):
             order = sorted(order, key=depth.__getitem__)  # stable: ids stay ascending
         n = len(order)

@@ -4,6 +4,7 @@ checked against a ``Fraction`` reference."""
 from __future__ import annotations
 
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -255,6 +256,18 @@ def test_split_refuses_a_size_below_one(size):
     # Not an empty result for -1, nor range()'s own error for 0.
     with pytest.raises(ValueError, match=f"^split size must be at least 1, got {size}$"):
         list(Allocation({1: 1, 2: 2, 3: 3}, 1).split(size))
+
+
+@pytest.mark.parametrize("size, message", [
+    (0, "split size must be at least 1, got 0"),
+    (True, "split size must be an integer, got True"),
+    (2.5, "split size must be an integer, got 2.5"),
+    ("2", "split size must be an integer, got '2'"),
+], ids=["zero", "bool", "float", "text"])
+def test_split_checks_its_size_when_called(size, message):
+    # Before any piece is asked for; True would make one-node pieces.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Allocation({1: 1, 2: 2, 3: 3}, 1).split(size)
 
 
 # -- the integer core against a Fraction reference ----------------------------

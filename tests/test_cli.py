@@ -121,6 +121,18 @@ def test_compute_invalid_tree(tmp_path, capsys):
     assert "unreachable" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "count"])
+def test_a_cycle_is_named_where_the_walk_from_the_lowest_child_enters_it(
+    command, tmp_path, capsys
+):
+    # The walk from child 5 meets the cycle 5 -> 65 -> 5 again at 5.
+    path = tmp_path / "cycle.json"
+    path.write_text('{"root": 1, "edges": [{"child": 2, "parent": 1}, '
+                    '{"child": 65, "parent": 5}, {"child": 5, "parent": 65}]}')
+    assert run(capsys, command, str(path)) == (
+        1, "", "error: cycle detected involving node 5\n")
+
+
 def test_compute_config_file_with_flag_override(example_file, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"unit": "1000", "mechanisms": ["shapley"]}))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +150,29 @@ def test_explicit_rejects_untrimmed_keys_and_nonzero_empty():
         ValueFunction.explicit({(): 5})
     with pytest.raises(ValueError, match="duplicate"):
         ValueFunction.explicit([((1,), 1), ((1,), 2)])
+
+
+MIXED_DUPLICATE = """
+from treeshare import ValueFunction
+try:
+    ValueFunction.explicit([((1, "a", "b"), 1), (("b", "a", 1), 2)])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_coalition_of_mixed_types_is_listed_the_same_under_every_hash_seed():
+    # Members that do not compare are sorted by their text, not the set's order.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", MIXED_DUPLICATE],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ["1", "2"]
+    }
+    assert messages == {"duplicate value for coalition ['a', 'b', 1]\n"}
 
 
 def test_floats_are_refused():

@@ -163,6 +163,12 @@ def test_spec_flags_refuse_what_is_not_a_boolean(spec, flag, value):
 
 
 @pytest.mark.parametrize("spec, flag", SPEC_FLAGS)
+def test_spec_flag_checks_name_the_flag(spec, flag):
+    with pytest.raises(ValueError, match=f"^{flag}: expected true or false, got 'no'$"):
+        spec(1000, **{flag: "no"})
+
+
+@pytest.mark.parametrize("spec, flag", SPEC_FLAGS)
 @pytest.mark.parametrize("value", [True, False])
 def test_spec_flags_keep_a_boolean(spec, flag, value):
     assert getattr(spec(1000, **{flag: value}), flag) is value

@@ -58,13 +58,65 @@ def test_root_with_parent_rejected():
     ([(10, 11), (11, 12), (2, 3), (4, 10)], 10, "root 10 has a parent"),
     ([(5, 6), (6, 5), (2, 3), (7, 5)], 5, "cycle detected involving node 5"),
     ([(1, 2), (3, 4), (4, 3)], 1, "root 1 has a parent"),
-    # Otherwise the walks meet the defects in the order of a set of the ids.
+    # Otherwise the walks from the children, in ascending id order, meet them.
     ([(2, 1), (3, 4), (4, 3), (5, 6)], 1, "cycle detected involving node 3"),
     ([(2, 1), (3, 4), (5, 6), (6, 5)], 1, "node 4 unreachable from root 1"),
 ])
 def test_a_tree_with_two_defects_names_the_first_one_met(edges, root, message):
     with pytest.raises(TreeError, match=f"^{message}$"):
         build_tree(edges, root)
+
+
+def _malformed_edges(rng: random.Random, cycle: bool, orphan: bool) -> list[tuple[int, int]]:
+    """Shuffled edges under root 1 with ids from 2-199: a valid branch, plus
+    a 2-cycle and/or a subtree under a node that is only a parent."""
+    ids = iter(rng.sample(range(2, 200), 30))
+    edges = []
+
+    def grow(tops: list[int], least: int) -> None:
+        for _ in range(rng.randint(least, 8)):
+            node = next(ids)
+            edges.append((node, rng.choice(tops)))
+            tops.append(node)
+
+    grow([1], 0)
+    if cycle:
+        a, b = next(ids), next(ids)
+        edges.extend([(a, b), (b, a)])
+        grow([a, b], 0)
+    if orphan:
+        grow([next(ids)], 1)
+    rng.shuffle(edges)
+    return edges
+
+
+def _first_defect(edges: list[tuple[int, int]], root: int) -> str:
+    """The first defect met walking up from each child in ascending id order,
+    for a root without a parent (so its own walk meets nothing)."""
+    parent_of = dict(edges)
+    reached = {root}
+    for start in sorted(parent_of):
+        path: list[int] = []
+        node = start
+        while node not in reached:
+            if node in path:
+                return f"cycle detected involving node {node}"
+            if node not in parent_of:
+                return f"node {node} unreachable from root {root}"
+            path.append(node)
+            node = parent_of[node]
+        reached.update(path)
+    raise AssertionError("no defect")
+
+
+@pytest.mark.parametrize("cycle, orphan", [(True, True), (True, False), (False, True)])
+def test_a_malformed_tree_names_the_defect_met_from_its_lowest_child(cycle, orphan):
+    rng = random.Random(f"{cycle} {orphan}")
+    for _ in range(1000):
+        edges = _malformed_edges(rng, cycle, orphan)
+        with pytest.raises(TreeError) as raised:
+            build_tree(edges, 1)
+        assert str(raised.value) == _first_defect(edges, 1), edges
 
 
 def test_self_loop_rejected():

@@ -90,11 +90,56 @@ def test_strict_mode_rejects_unknown_fields():
     ('{"parent": 2, "child": 1}', False, "tree document is missing the 'root' field"),
     ('{"root": 1, "edges": [], "labels": {"child": 1, "parent": 2}}', True,
      "label key 'child' is not a node id"),
+    ('{"parent": 2, "child": 1}', True, "unknown fields ['child', 'parent'] in tree document"),
+    ('{"root": 1, "edges": [], "labels": {"parent": 1, "child": 2}}', True,
+     "label key 'parent' is not a node id"),
+    ('[{"child": 1, "parent": 2}]', True, "tree document must be a JSON object"),
+    ('{"root": 1, "edges": {"child": 2, "parent": 1}}', True,
+     "'edges' must be a list of {child, parent} objects"),
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1}], '
+     '"labels": {"2": {"child": 2, "parent": 1}}}', True,
+     "label for node 2 must be a JSON string"),
 ], ids=["edge-as-document", "edge-as-document-lenient", "edge-as-document-reordered",
-        "edge-as-labels"])
+        "edge-as-labels", "edge-as-document-reordered-strict", "edge-as-labels-reordered",
+        "edge-in-a-list-as-document", "edge-as-edges", "edge-as-label-name"])
 def test_a_tree_document_shaped_like_an_edge_keeps_its_message(doc, strict, message):
     with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
         parse_tree_file(doc, strict=strict)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"root": {"child": 1, "parent": 2}, "edges": []}',
+     "node ids must be positive integers, got {'child': 1, 'parent': 2}"),
+    ('{"root": 1, "edges": [{"child": {"parent": 1, "child": 2}, "parent": 1}]}',
+     "node ids must be positive integers, got {'parent': 1, 'child': 2}"),
+    ('{"root": 1, "edges": [{"child": 2, "parent": {"child": 3, "parent": 1}}]}',
+     "node ids must be positive integers, got {'child': 3, 'parent': 1}"),
+    ('{"root": [{"child": 1, "parent": 2}], "edges": []}',
+     "node ids must be positive integers, got [{'child': 1, 'parent': 2}]"),
+    ('{"root": {"child": 12345678901234567890, "parent": 98765432109876543210}, '
+     '"edges": []}',
+     "node ids must be positive integers, got \"{'child': 1234567890\"… (63 characters)"),
+], ids=["root", "child-reordered", "parent", "root-in-a-list", "root-cut"])
+def test_an_edge_shaped_node_id_is_named_as_its_object(doc, message):
+    with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+        parse_tree_file(doc)
+
+
+def test_an_edge_with_a_repeated_key_reads_as_json_loads_reads_it():
+    # The last value of a repeated key wins, so this edge attaches node 3.
+    doc = '{"root": 1, "edges": [{"child": 2, "parent": 1, "child": 3}]}'
+    assert parse_tree_file(doc).tree.edges() == {(3, 1)}
+    doc = '{"root": 1, "edges": [{"child": 2, "child": 3}]}'
+    message = "edge #0: expected an object with 'child' and 'parent'"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_tree_file(doc)
+
+
+def test_an_edge_with_an_extra_field_is_refused_only_when_strict():
+    doc = '{"root": 1, "edges": [{"child": 2, "parent": 1, "w": 3}]}'
+    with pytest.raises(InputFormatError, match=r"^edge #0: unknown fields \['w'\]$"):
+        parse_tree_file(doc)
+    assert parse_tree_file(doc, strict=False).tree.edges() == {(2, 1)}
 
 
 def test_labels_parsed_and_validated():

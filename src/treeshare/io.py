@@ -56,11 +56,12 @@ def read_text(path: str) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _decode_json(text: str, what: str) -> object:
-    """Decode one JSON document; malformed or too deeply nested text is an
-    input error naming ``what`` was being read."""
+def _decode_json(text: str, what: str, hook: Callable | None = None) -> object:
+    """Decode one JSON document, each object through ``hook`` if given;
+    malformed or too deeply nested text is an input error naming ``what``
+    was being read."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{what} is not valid JSON: {exc}") from None
     except ValueError:  # an integer literal past the int-to-str digit limit
@@ -74,6 +75,38 @@ def _decode_json(text: str, what: str) -> object:
 
 # -- tree files ----------------------------------------------------------
 
+def _edge_pair(pairs: list[tuple[str, object]]) -> object:
+    """A JSON object as it is decoded: the pair ``(child, parent)`` if its
+    two keys are 'child' and 'parent', in either order, and both values are
+    ints; otherwise a dict, whose repeated keys take their last value."""
+    if len(pairs) == 2:
+        (k0, v0), (k1, v1) = pairs
+        if v0.__class__ is int and v1.__class__ is int:
+            if k0 == "child" and k1 == "parent":
+                return v0, v1
+            if k0 == "parent" and k1 == "child":
+                return v1, v0
+    return dict(pairs)
+
+
+def _decode_pairs(text: str) -> dict | None:
+    """A tree document with each edge object decoded straight to a pair; None
+    if that decode fails or a pair may stand where a message would show it
+    as a tuple, that is, unless the document is an object whose root is an
+    int, whose labels are not a pair and whose edges are all pairs. No
+    message shows a label's value or an unknown field's."""
+    try:
+        data = _decode_json(text, "tree file", _edge_pair)
+    except InputFormatError:
+        return None
+    if (data.__class__ is dict and data.get("root", 1).__class__ is int
+            and data.get("labels").__class__ is not tuple):
+        edges = data.get("edges")
+        if edges.__class__ is not list or all(e.__class__ is tuple for e in edges):
+            return data
+    return None
+
+
 class TreeDocument(NamedTuple):
     """A parsed tree file: the validated tree plus optional display labels."""
 
@@ -82,8 +115,13 @@ class TreeDocument(NamedTuple):
 
 
 def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
-    """Parse and validate a JSON tree document from text."""
-    data = _decode_json(text, "tree file")
+    """Parse and validate a JSON tree document from text.
+
+    Each edge object is decoded straight to a ``(child, parent)`` pair, so
+    no per-edge dict is ever built."""
+    data = _decode_pairs(text)
+    if data is None:  # every check and message sees what json.loads gives
+        data = _decode_json(text, "tree file")
     if not isinstance(data, dict):
         raise InputFormatError("tree document must be a JSON object")
     known = {"root", "edges", "labels"}
@@ -100,16 +138,18 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
         raise InputFormatError("'edges' must be a list of {child, parent} objects")
     edges = []
     for idx, entry in enumerate(edges_field):
-        if not isinstance(entry, dict) or "child" not in entry or "parent" not in entry:
-            raise InputFormatError(
-                f"edge #{idx}: expected an object with 'child' and 'parent'"
-            )
-        if strict and len(entry) != 2:
-            unknown = set(entry) - {"child", "parent"}
-            raise InputFormatError(
-                f"edge #{idx}: unknown fields {excerpt(sorted(unknown))}"
-            )
-        edges.append((entry["child"], entry["parent"]))
+        if entry.__class__ is not tuple:  # a pair needs no checks
+            if not isinstance(entry, dict) or "child" not in entry or "parent" not in entry:
+                raise InputFormatError(
+                    f"edge #{idx}: expected an object with 'child' and 'parent'"
+                )
+            if strict and len(entry) != 2:
+                unknown = set(entry) - {"child", "parent"}
+                raise InputFormatError(
+                    f"edge #{idx}: unknown fields {excerpt(sorted(unknown))}"
+                )
+            entry = entry["child"], entry["parent"]
+        edges.append(entry)
     root, labels_field = data["root"], data.get("labels")
     del data, edges_field  # the decoded document, freed before the tree is built
     tree = build_tree(edges, root)

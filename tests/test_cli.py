@@ -133,6 +133,31 @@ def test_a_cycle_is_named_where_the_walk_from_the_lowest_child_enters_it(
         1, "", "error: cycle detected involving node 5\n")
 
 
+def test_every_key_order_of_an_edge_reads_as_one_tree(tmp_path, capsys):
+    rng = random.Random(25)
+    edges, root = shuffle_ids(rng, random_tree_edges(rng, 150), 1)
+    child_first = '{{"child": {}, "parent": {}}}'.format
+    parent_first = '{{"parent": {1}, "child": {0}}}'.format
+    layouts = {
+        "child-first": [child_first] * len(edges),
+        "parent-first": [parent_first] * len(edges),
+        "mixed": [rng.choice([child_first, parent_first]) for _ in edges],
+    }
+    trees, outputs = [], []
+    for name, writers in layouts.items():
+        text = '{"root": %d, "edges": [%s]}' % (
+            root, ", ".join(write(c, p) for write, (c, p) in zip(writers, edges)))
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        tree = parse_tree_file(text).tree
+        trees.append((tree._ids, tree._parents, tree._depths))
+        outputs.append([run(capsys, *argv, str(path)) for argv in (
+            ("compute", "--format", "csv"), ("verify",), ("count",))])
+    assert trees[0] == trees[1] == trees[2]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+
+
 def test_compute_config_file_with_flag_override(example_file, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"unit": "1000", "mechanisms": ["shapley"]}))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .allocation import Allocation, as_fraction, exact_and_display, excerpt
 from .games import LIMIT_CEILING
 from .shapley import IncrementalState
-from .tree import RootedTree, build_tree
+from .tree import RootedTree, TreeError, build_tree
 
 if TYPE_CHECKING:  # loaded on use, so that only ``compute`` loads the allocators
     from .mechanisms import MechanismSpec, RewardReport
@@ -89,24 +89,6 @@ def _edge_pair(pairs: list[tuple[str, object]]) -> object:
     return dict(pairs)
 
 
-def _decode_pairs(text: str) -> dict | None:
-    """A tree document with each edge object decoded straight to a pair; None
-    if that decode fails or a pair may stand where a message would show it
-    as a tuple, that is, unless the document is an object whose root is an
-    int, whose labels are not a pair and whose edges are all pairs. No
-    message shows a label's value or an unknown field's."""
-    try:
-        data = _decode_json(text, "tree file", _edge_pair)
-    except InputFormatError:
-        return None
-    if (data.__class__ is dict and data.get("root", 1).__class__ is int
-            and data.get("labels").__class__ is not tuple):
-        edges = data.get("edges")
-        if edges.__class__ is not list or all(e.__class__ is tuple for e in edges):
-            return data
-    return None
-
-
 class TreeDocument(NamedTuple):
     """A parsed tree file: the validated tree plus optional display labels."""
 
@@ -118,10 +100,27 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
     """Parse and validate a JSON tree document from text.
 
     Each edge object is decoded straight to a ``(child, parent)`` pair, so
-    no per-edge dict is ever built."""
-    data = _decode_pairs(text)
-    if data is None:  # every check and message sees what json.loads gives
-        data = _decode_json(text, "tree file")
+    no per-edge dict is ever built. A pair stands only where an edge object
+    would be accepted, so the read fails only where a plain read fails; a
+    document that fails is decoded again as plain objects and checked again,
+    so that its message shows them as ``json.loads`` gives them. The tree
+    is built in this frame, not a helper's: each frame more would lower the
+    nesting depth at which a node id can still be named in a message."""
+    for hook in _edge_pair, None:
+        try:
+            data = _decode_json(text, "tree file", hook)
+            edges, root, labels_field = _tree_fields(data, strict)
+            del data  # the rest of the decoded document, freed before the tree is built
+            tree = build_tree(edges, root)
+            return TreeDocument(tree=tree, labels=_tree_labels(labels_field, tree))
+        except (InputFormatError, TreeError):
+            if hook is None:
+                raise
+
+
+def _tree_fields(data: object, strict: bool) -> tuple[list, object, object]:
+    """The checked ``(child, parent)`` edges, the root and the labels field of
+    a decoded tree document. Edges are made pairs in place."""
     if not isinstance(data, dict):
         raise InputFormatError("tree document must be a JSON object")
     known = {"root", "edges", "labels"}
@@ -133,29 +132,30 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
             )
     if "root" not in data:
         raise InputFormatError("tree document is missing the 'root' field")
-    edges_field = data.get("edges", [])
-    if not isinstance(edges_field, list):
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
         raise InputFormatError("'edges' must be a list of {child, parent} objects")
-    edges = []
-    for idx, entry in enumerate(edges_field):
-        if entry.__class__ is not tuple:  # a pair needs no checks
-            if not isinstance(entry, dict) or "child" not in entry or "parent" not in entry:
-                raise InputFormatError(
-                    f"edge #{idx}: expected an object with 'child' and 'parent'"
-                )
-            if strict and len(entry) != 2:
-                unknown = set(entry) - {"child", "parent"}
-                raise InputFormatError(
-                    f"edge #{idx}: unknown fields {excerpt(sorted(unknown))}"
-                )
-            entry = entry["child"], entry["parent"]
-        edges.append(entry)
-    root, labels_field = data["root"], data.get("labels")
-    del data, edges_field  # the decoded document, freed before the tree is built
-    tree = build_tree(edges, root)
+    for idx, entry in enumerate(edges):
+        if entry.__class__ is tuple:  # decoded straight to a pair
+            continue
+        if not isinstance(entry, dict) or "child" not in entry or "parent" not in entry:
+            raise InputFormatError(
+                f"edge #{idx}: expected an object with 'child' and 'parent'"
+            )
+        if strict and len(entry) != 2:
+            unknown = set(entry) - {"child", "parent"}
+            raise InputFormatError(
+                f"edge #{idx}: unknown fields {excerpt(sorted(unknown))}"
+            )
+        edges[idx] = entry["child"], entry["parent"]
+    return edges, data["root"], data.get("labels")
+
+
+def _tree_labels(labels_field: object, tree: RootedTree) -> dict[int, str]:
+    """The checked display labels of a tree document's labels field."""
     if labels_field is None:
-        labels_field = {}
-    elif not isinstance(labels_field, dict):
+        return {}
+    if not isinstance(labels_field, dict):
         raise InputFormatError("'labels' must be an object mapping node ids to names")
     labels: dict[int, str] = {}
     for key, name in labels_field.items():
@@ -175,7 +175,7 @@ def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
         if not name.isprintable():  # a newline or an escape would break the table
             raise InputFormatError(f"unprintable label for node {node}: {excerpt(name)}")
         labels[node] = name
-    return TreeDocument(tree=tree, labels=labels)
+    return labels
 
 
 # -- event logs ----------------------------------------------------------

@@ -138,6 +138,34 @@ def test_an_edge_with_a_repeated_key_reads_as_json_loads_reads_it():
         parse_tree_file(doc)
 
 
+@pytest.mark.parametrize("doc, strict", [
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1}, {"parent": 2, "child": 3}]}', True),
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1, "w": 3}], "x": {"y": 1}}', False),
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1}], "labels": {"2": "bo"}}', True),
+], ids=["pairs", "extra-fields-lenient", "labels"])
+def test_a_valid_tree_file_is_decoded_once(doc, strict, monkeypatch):
+    decode, calls = treeshare_io._decode_json, []
+
+    def counted_decode(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(treeshare_io, "_decode_json", counted_decode)
+    parse_tree_file(doc, strict=strict)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc, error", [
+    ('{"root": {"child": 1, "parent": 2}, "edges": []}', TreeError),
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1, "w": 3}]}', InputFormatError),
+], ids=["edge-shaped-root", "extra-field"])
+def test_a_tree_file_read_twice_raises_one_error(doc, error):
+    # A failed read with pairs is dropped, not chained to the plain one.
+    with pytest.raises(error) as info:
+        parse_tree_file(doc)
+    assert info.value.__context__ is None
+
+
 @pytest.mark.parametrize("edge", [
     lambda c, p: {"child": c, "parent": p}, lambda c, p: {"parent": p, "child": c},
 ], ids=["child-first", "parent-first"])

@@ -34,11 +34,12 @@ LITERAL_DIGITS = 10**6
 def excerpt(value: object) -> str:
     """``repr(value)`` for a message, bounded in length: a text of more than
     40 characters shows its first 20, then ``…`` and its length. An int is
-    written by ``decimal_text``; a value whose ``repr`` fails shows its type."""
+    written by ``decimal_text``; a value whose ``repr`` fails, or nests too
+    deeply for it, shows its type."""
     try:
         text = (value if isinstance(value, str)
                 else decimal_text(value) if value.__class__ is int else repr(value))
-    except ValueError:
+    except (ValueError, RecursionError):
         return f"<{type(value).__name__}>"
     if len(text) <= 40:
         return repr(value)

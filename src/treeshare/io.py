@@ -18,11 +18,12 @@ import re
 import sys
 from collections.abc import Callable, Generator, Iterable, Iterator
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import lt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .allocation import Allocation, as_fraction, exact_and_display, excerpt
+from .allocation import (Allocation, _rounded, as_fraction, decimal_text,
+                         exact_and_display, excerpt)
 from .games import LIMIT_CEILING
 from .shapley import IncrementalState
 from .tree import RootedTree, TreeError, build_tree
@@ -218,7 +219,8 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
             last_seq = yield from _parse_lines(block, start, last_seq)
         else:
             last_seq = fields[-3]
-            yield from map(JoinEvent._make, zip(*[iter(fields)] * 3))
+            # ``JoinEvent._make`` less its length check, which ``zip`` makes needless.
+            yield from map(tuple.__new__, repeat(JoinEvent), zip(*[iter(fields)] * 3))
         if error is not None:
             raise error
         if len(block) < _BLOCK_LINES:
@@ -227,15 +229,23 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[JoinEvent]:
 
 def _plain_fields(block: list[str], last_seq: int | None) -> list[int] | None:
     """The fields of a block of plain lines, one per item, whose sequence
-    numbers increase past ``last_seq``; None for any other block."""
+    numbers increase past ``last_seq``; None for any other block.
+
+    The fields are read as one JSON array. JSON refuses a leading zero
+    (``007``) and a field past the int-to-str digit limit; such a block is
+    read with ``int``, which takes the first and refuses the second."""
     text = "".join(block)
     if (not _PLAIN_BLOCK.fullmatch(text if text.endswith("\n") else text + "\n")
             or text.splitlines(True) != block):
         return None
     try:
-        fields = list(map(int, text.split()))
-    except ValueError:  # a field past the int-to-str digit limit
-        return None
+        fields = json.loads(
+            "[" + text.replace(" ", ",").replace("\n", ",").rstrip(",") + "]")
+    except ValueError:
+        try:
+            fields = list(map(int, text.split()))
+        except ValueError:  # a field past the int-to-str digit limit
+            return None
     seqs = fields[::3]
     if last_seq is not None and seqs[0] <= last_seq or not all(map(lt, seqs, seqs[1:])):
         return None
@@ -442,13 +452,20 @@ def load_config(path: str) -> RunConfig:
 
 # -- rendering -----------------------------------------------------------
 
-def _texts(allocation: Allocation, nodes: list[int], template: str) -> list[str]:
-    """``template`` filled with the exact and display text of each node's
-    reward, in the order of ``nodes``. Each distinct numerator's text is
-    made once."""
+def _texts(allocation: Allocation, nodes: list[int], template: str,
+           exact: bool) -> list[str]:
+    """``template`` filled with the text of each node's reward, in the order
+    of ``nodes``: the exact and the display text if ``exact``, else the
+    display text alone, whose rounding is cheap where the reduced exact text
+    of a long numerator is not. Each distinct numerator's text is made once."""
     denominator = allocation.denominator
     values = list(map(allocation.numerators.__getitem__, nodes))
-    texts = {v: template.format(*exact_and_display(v, denominator)) for v in set(values)}
+    if exact:
+        texts = {v: template.format(*exact_and_display(v, denominator))
+                 for v in set(values)}
+    else:
+        texts = {v: template.format(decimal_text(_rounded(v, denominator)))
+                 for v in set(values)}
     return list(map(texts.__getitem__, values))
 
 
@@ -473,7 +490,7 @@ def _entries(
             head = f"{kind}," if kind else ""
             tail = ",{},{}"
         lines.extend(f"{head}{node}{text}"
-                     for node, text in zip(nodes, _texts(allocation, nodes, tail)))
+                     for node, text in zip(nodes, _texts(allocation, nodes, tail, True)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
@@ -500,7 +517,7 @@ def render_report(
     labels = labels or {}
     headers = [f"{n}:{labels[n]}" if n in labels else str(n) for n in nodes]
     grid = [("mechanism", headers)]
-    grid.extend((spec.kind, _texts(allocation, nodes, "{0}" if exact else "{1}"))
+    grid.extend((spec.kind, _texts(allocation, nodes, "{}", exact))
                 for spec, allocation in report.results)
     name_width = max(len(name) for name, _ in grid)
     widths = [max(len(cells[k]) for _, cells in grid) for k in range(len(nodes))]
@@ -525,5 +542,5 @@ def render_allocation(
     nodes = sorted(allocation.numerators)
     if output_format != "table":
         return _entries(output_format, [(None, allocation)], nodes, header)
-    texts = _texts(allocation, nodes, "\t{0}\n" if exact else "\t{1}\n")
+    texts = _texts(allocation, nodes, "\t{}\n", exact)
     return "".join(f"{node}{text}" for node, text in zip(nodes, texts))

@@ -392,7 +392,9 @@ def _parsed(lines) -> tuple[list, str | None]:
 
 
 # What the plain line of sequence number ``seq`` can be changed into: each
-# change either breaks it or sends its block off the plain-block route.
+# change either breaks it, sends its block off the plain-block route, or
+# keeps it plain in a form that a JSON read of the block refuses or must
+# read as ``int`` does.
 LINE_EDITS = {
     "comment": lambda line, seq: "# a comment\n",
     "blank": lambda line, seq: " \n",
@@ -405,6 +407,9 @@ LINE_EDITS = {
     "two fields": lambda line, seq: line.partition(" ")[2],
     "seq repeated": lambda line, seq: f"{seq - 1} {line.partition(' ')[2]}",
     "no newline": lambda line, seq: line[:-1],
+    "leading zero": lambda line, seq: "0" + line,
+    "minus zero": lambda line, seq: f"{seq} -0 {line.split()[2]}\n",
+    "negative ids": lambda line, seq: line.replace(" ", " -"),
 }
 # The lines around the edges of 1024-line blocks.
 EDGE_LINES = [0, 1, 1022, 1023, 1024, 1025, 2047, 2048, 2049]
@@ -446,6 +451,18 @@ def test_parse_event_log_matches_a_line_by_line_parse(lines):
         events, message = _parsed(lines)
         assert (events, message) == _events_line_by_line(lines)
     assert all(type(event) is JoinEvent for event in events)
+
+
+def test_a_plain_block_that_json_refuses_reads_as_int_reads_it():
+    lines = [_plain_line(seq) for seq in range(1, 2 * 1024 + 1)]
+    lines[5] = "6 007 3\n"  # JSON refuses the leading zero
+    lines[1024 + 7] = f"1032 1{'0' * 4300} 1\n"  # and, as int does, 4301 digits
+    with _int_digit_limit(4300):
+        events, message = _parsed(lines)
+        assert (events, message) == _events_line_by_line(lines)
+    assert events[5] == JoinEvent(6, 7, 3)
+    assert len(events) == 1024 + 7
+    assert message == "line 1032: a field has more than 4300 digits"
 
 
 @pytest.mark.parametrize("lines", [

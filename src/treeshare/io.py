@@ -490,7 +490,7 @@ def _entries(
             head = f"{kind}," if kind else ""
             tail = ",{},{}"
         lines.extend(f"{head}{node}{text}"
-                     for node, text in zip(nodes, _texts(allocation, nodes, tail, True)))
+                     for node, text in zip(nodes, _texts(allocation, nodes, tail, exact=True)))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 

@@ -118,39 +118,26 @@ def is_convex(game: TreeGame, limit: int = 12) -> ConvexityResult:
     return ConvexityResult(convex=True)
 
 
-def _subtree_counts(tree: RootedTree) -> list[int]:
-    """Per canonical rank ``r``, ``t(r)``: the parent-closed sets of r's
-    subtree that contain r. Each is r and, at each child ``c``, nothing or
-    one such set of c's subtree: ``t(r) = prod(1 + t(c))``, filled bottom-up."""
-    parents = tree._parents
-    t = [1] * tree.n
-    for r in range(tree.n - 1, 0, -1):
-        t[parents[r]] *= 1 + t[r]
-    return t
-
-
 def count_trimmed_containing(tree: RootedTree, i: int) -> int:
     """How many trimmed coalitions contain node ``i``.
 
-    Forcing ``i`` and its ancestors in leaves a free choice of ``1 + t(c)``
-    at each child ``c`` hanging off the forced path, where ``t(c)`` counts
-    the parent-closed sets of c's subtree through ``c`` (see
-    ``_subtree_counts``). So the count is ``t(root)`` times
-    ``t(a) / (1 + t(a))`` for each ``a`` on i's root path below the root,
-    root first so that each division is exact: O(n) big-int steps a call,
-    and nothing kept. ``complexity_table`` counts for every node at once.
+    ``t(r)`` counts the parent-closed sets of r's subtree that contain r:
+    r and, at each child ``c``, nothing or one such set of c's subtree, so
+    ``t(r) = prod(1 + t(c))``. Here i and its ancestors are forced in, so a
+    child on i's root path gives ``t(c)`` choices, not ``1 + t(c)``; one
+    bottom-up pass, and ``t(root)`` is the count.
+    ``complexity_table`` counts for every node at once.
     """
     parents = tree._parents
-    path = []
     r = tree._rank_of(i)
+    on_path = bytearray(tree.n)
     while r > 0:
-        path.append(r)
+        on_path[r] = 1
         r = parents[r]
-    t = _subtree_counts(tree)
-    count = t[0]
-    for a in reversed(path):
-        count = count * t[a] // (1 + t[a])
-    return count
+    t = [1] * tree.n
+    for r in range(tree.n - 1, 0, -1):
+        t[parents[r]] *= t[r] + 1 - on_path[r]
+    return t[0]
 
 
 def trimmed_work(tree: RootedTree) -> int:
@@ -158,17 +145,16 @@ def trimmed_work(tree: RootedTree) -> int:
     of the nonempty trimmed coalitions, which is the work of the
     per-node trimmed-coalition sum.
 
-    Two bottom-up passes that keep no per-node count, so memory stays near
-    the size of the tree. ``t(r)`` counts the parent-closed sets of r's
-    subtree that contain r (see ``_subtree_counts``) and ``s(r)`` sums
-    their sizes, so ``s(r) = t(r) + sum(s(c) * t(r) / (1 + t(c)))``.
+    One bottom-up pass: ``t(r)`` (see ``count_trimmed_containing``) and
+    ``s(r)``, the sum of the sizes of those sets, start from the set
+    ``{r}``, and each child folds in by the product rule.
     """
     parents = tree._parents
-    t = _subtree_counts(tree)
-    s = t[:]
+    t, s = [1] * tree.n, [1] * tree.n
     for r in range(tree.n - 1, 0, -1):
         p = parents[r]
-        s[p] += s[r] * (t[p] // (1 + t[r]))
+        s[p] = s[p] * (1 + t[r]) + t[p] * s[r]
+        t[p] *= 1 + t[r]
     return s[0]
 
 
@@ -214,10 +200,11 @@ def complexity_table(tree: RootedTree) -> Iterator[ComplexityRow]:
     node (generic route), trimmed coalitions containing it (tree-game
     route), and subtree levels (basic route).
 
-    One bottom-up pass fills ``t`` (see ``_subtree_counts``) and the subtree
-    heights. Then ``count(root) = t(root)``, and a child ``c`` splits its
-    parent's count into the ``t(c)`` choices that hold it and the one that
-    does not: ``count(c) = count(parent) * t(c) / (1 + t(c))``, parents first.
+    One bottom-up pass fills ``t`` (see ``count_trimmed_containing``) and
+    the subtree heights. Then ``count(root) = t(root)``, and a child ``c``
+    splits its parent's count into the ``t(c)`` choices that hold it and the
+    one that does not: ``count(c) = count(parent) * t(c) / (1 + t(c))``,
+    parents first.
     """
     cfg = 2 ** (tree.n - 1)
     parents = tree._parents

@@ -233,7 +233,7 @@ def _plain_fields(block: list[str], last_seq: int | None) -> list[int] | None:
 
     The fields are read as one JSON array. JSON refuses a leading zero
     (``007``) and a field past the int-to-str digit limit; such a block is
-    read with ``int``, which takes the first and refuses the second."""
+    read line by line, which takes the first and names the second."""
     text = "".join(block)
     if (not _PLAIN_BLOCK.fullmatch(text if text.endswith("\n") else text + "\n")
             or text.splitlines(True) != block):
@@ -242,10 +242,7 @@ def _plain_fields(block: list[str], last_seq: int | None) -> list[int] | None:
         fields = json.loads(
             "[" + text.replace(" ", ",").replace("\n", ",").rstrip(",") + "]")
     except ValueError:
-        try:
-            fields = list(map(int, text.split()))
-        except ValueError:  # a field past the int-to-str digit limit
-            return None
+        return None
     seqs = fields[::3]
     if last_seq is not None and seqs[0] <= last_seq or not all(map(lt, seqs, seqs[1:])):
         return None

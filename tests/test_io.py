@@ -453,10 +453,10 @@ def test_parse_event_log_matches_a_line_by_line_parse(lines):
     assert all(type(event) is JoinEvent for event in events)
 
 
-def test_a_plain_block_that_json_refuses_reads_as_int_reads_it():
+def test_a_plain_block_that_json_refuses_reads_line_by_line():
     lines = [_plain_line(seq) for seq in range(1, 2 * 1024 + 1)]
     lines[5] = "6 007 3\n"  # JSON refuses the leading zero
-    lines[1024 + 7] = f"1032 1{'0' * 4300} 1\n"  # and, as int does, 4301 digits
+    lines[1024 + 7] = f"1032 1{'0' * 4300} 1\n"  # and a field past the digit limit
     with _int_digit_limit(4300):
         events, message = _parsed(lines)
         assert (events, message) == _events_line_by_line(lines)

@@ -74,21 +74,20 @@ def _build_config(config_path: str | None, **flags) -> RunConfig:
 
 def compute(treefile, strict=True, config_path=None, **flags) -> None:
     """Allocate rewards for a tree under one or more mechanisms."""
-    from .mechanisms import compare
+    from .mechanisms import RewardReport, allocate, compare
 
     config = _build_config(config_path, **flags)
-    document = parse_tree_file(read_text(treefile), strict)
-    report = compare(document.tree, config.mechanism_specs())
-    labels = document.labels
-    del document  # the tree is not needed while rendering
+    tree, labels = parse_tree_file(read_text(treefile), strict)
     if config.output_format == "table":  # one grid: its widths need every node
+        report = compare(tree, config.mechanism_specs())
+        del tree  # not needed while rendering
         _echo(render_report(report, "table", config.exact, labels))
         return
     header = True
-    for spec, allocation in report.results:  # one mechanism and chunk at a time
-        for part in allocation.split(CHUNK_ROWS):
-            _echo(render_report(report._replace(results=((spec, part),)),
-                                config.output_format, config.exact, labels, header))
+    for spec in config.mechanism_specs():  # one mechanism and chunk at a time
+        for part in allocate(tree, spec).split(CHUNK_ROWS):
+            _echo(render_report(RewardReport(tree.n, tree.height, ((spec, part),)),
+                                config.output_format, config.exact, header=header))
             header = False
 
 

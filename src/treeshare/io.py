@@ -78,15 +78,14 @@ def _decode_json(text: str, what: str, hook: Callable | None = None) -> object:
 
 def _edge_pair(pairs: list[tuple[str, object]]) -> object:
     """A JSON object as it is decoded: the pair ``(child, parent)`` if its
-    two keys are 'child' and 'parent', in either order, and both values are
-    ints; otherwise a dict, whose repeated keys take their last value."""
+    two keys are 'child' and 'parent', in either order, whatever the values;
+    otherwise a dict, whose repeated keys take their last value."""
     if len(pairs) == 2:
         (k0, v0), (k1, v1) = pairs
-        if v0.__class__ is int and v1.__class__ is int:
-            if k0 == "child" and k1 == "parent":
-                return v0, v1
-            if k0 == "parent" and k1 == "child":
-                return v1, v0
+        if k0 == "child" and k1 == "parent":
+            return v0, v1
+        if k0 == "parent" and k1 == "child":
+            return v1, v0
     return dict(pairs)
 
 
@@ -100,13 +99,14 @@ class TreeDocument(NamedTuple):
 def parse_tree_file(text: str, strict: bool = True) -> TreeDocument:
     """Parse and validate a JSON tree document from text.
 
-    Each edge object is decoded straight to a ``(child, parent)`` pair, so
-    no per-edge dict is ever built. A pair stands only where an edge object
-    would be accepted, so the read fails only where a plain read fails; a
-    document that fails is decoded again as plain objects and checked again,
-    so that its message shows them as ``json.loads`` gives them. The tree
-    is built in this frame, not a helper's: each frame more would lower the
-    nesting depth at which a node id can still be named in a message."""
+    Each edge object is decoded straight to a ``(child, parent)`` pair,
+    whatever its values, so no per-edge dict is ever built; the tree judges
+    the ids. Such an object is valid nowhere else, so the read fails only
+    where a plain read fails; a document that fails is decoded again as
+    plain objects and checked again, so that its message shows them as
+    ``json.loads`` gives them. The tree is built in this frame, not a
+    helper's: each frame more would lower the nesting depth at which a node
+    id can still be named in a message."""
     for hook in _edge_pair, None:
         try:
             data = _decode_json(text, "tree file", hook)
@@ -335,6 +335,8 @@ def _mechanism_names(value: object) -> tuple[str, ...]:
             raise ValueError(f"unknown mechanism {excerpt(name)}; expected one of "
                              f"{sorted(_MECHANISM_ALIASES)}")
         kinds.append(kind)
+    if not kinds:
+        raise ValueError("expected at least one mechanism")
     return tuple(kinds)
 
 

@@ -244,20 +244,18 @@ def build_tree(edges: Iterable[tuple[int, int]], root: int) -> RootedTree:
     return RootedTree(edges, root)
 
 
-def chain(n: int, start: int = 1) -> RootedTree:
-    """A path of ``n`` nodes: start -> start+1 -> ... (root at the top)."""
+def chain(n: int) -> RootedTree:
+    """A path of ``n`` nodes: 1 -> 2 -> ... -> n (root at the top)."""
     if n < 1:
         raise TreeError("chain needs at least one node")
-    return RootedTree(
-        [(start + k, start + k - 1) for k in range(1, n)], start
-    )
+    return RootedTree([(k + 1, k) for k in range(1, n)], 1)
 
 
-def star(n: int, start: int = 1) -> RootedTree:
-    """A root with ``n - 1`` direct children."""
+def star(n: int) -> RootedTree:
+    """A root 1 with ``n - 1`` direct children, 2 to ``n``."""
     if n < 1:
         raise TreeError("star needs at least one node")
-    return RootedTree([(start + k, start) for k in range(1, n)], start)
+    return RootedTree([(k, 1) for k in range(2, n + 1)], 1)
 
 
 def complete_binary_tree(height: int) -> RootedTree:

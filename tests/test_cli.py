@@ -387,6 +387,48 @@ def test_compute_writes_rows_in_bounded_chunks_matching_a_whole_render(
     assert chunks == [CHUNK_ROWS + header, 5, CHUNK_ROWS, 5, CHUNK_ROWS, 5]
 
 
+@pytest.mark.parametrize("output_format", ["csv", "records", "table"])
+def test_compute_writes_each_mechanism_before_it_allocates_the_next(
+    output_format, monkeypatch, capsys
+):
+    from treeshare import cli, mechanisms
+
+    calls = []
+
+    def logged(label, function):
+        def call(*args, **kwargs):
+            calls.append(label)
+            return function(*args, **kwargs)
+        return call
+
+    for kind, allocator in mechanisms._ALLOCATORS.items():
+        monkeypatch.setitem(mechanisms._ALLOCATORS, kind,
+                            logged(f"allocate {kind}", allocator))
+    monkeypatch.setattr(cli, "render_report", logged("render", cli.render_report))
+    code, out, _ = run(capsys, "compute", str(GOLDEN / "f9.json"), "--format", output_format)
+    assert code == 0 and out
+    kinds = ["refer_a_friend", "geometric", "shapley"]
+    if output_format == "table":  # the grid needs every allocation
+        assert calls == [f"allocate {kind}" for kind in kinds] + ["render"]
+    else:  # never two mechanisms' allocations at once
+        assert calls == [call for kind in kinds for call in (f"allocate {kind}", "render")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "f9.json"], ["compute", "f9.json", "--format", "csv"],
+    ["compute", "f9.json", "--format", "records"], ["stream", "f9.log"],
+    ["verify", "f9.json"],
+], ids=" ".join)
+def test_an_empty_mechanism_list_exits_1_naming_the_field(argv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"mechanisms": []}')
+    command, name, *flags = argv
+    code, out, err = run(capsys, command, str(GOLDEN / name), *flags,
+                         "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == "error: config field 'mechanisms': expected at least one mechanism\n"
+
+
 def _made_texts(monkeypatch) -> list[int]:
     """The numerators ``io.exact_and_display`` is called with from here on."""
     made = []

@@ -155,13 +155,19 @@ def test_a_valid_tree_file_is_decoded_once(doc, strict, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("doc, error", [
-    ('{"root": {"child": 1, "parent": 2}, "edges": []}', TreeError),
-    ('{"root": 1, "edges": [{"child": 2, "parent": 1, "w": 3}]}', InputFormatError),
-], ids=["edge-shaped-root", "extra-field"])
-def test_a_tree_file_read_twice_raises_one_error(doc, error):
+@pytest.mark.parametrize("doc, error, message", [
+    ('{"root": {"child": 1, "parent": 2}, "edges": []}', TreeError,
+     "node ids must be positive integers, got {'child': 1, 'parent': 2}"),
+    ('{"root": 1, "edges": [{"child": 2, "parent": 1, "w": 3}]}', InputFormatError,
+     "edge #0: unknown fields ['w']"),
+    ('{"root": 1, "edges": [{"child": "2", "parent": 1}]}', TreeError,
+     "node ids must be positive integers, got '2'"),
+    ('{"root": 1, "edges": [{"child": 2.0, "parent": 1}]}', TreeError,
+     "node ids must be positive integers, got 2.0"),
+], ids=["edge-shaped-root", "extra-field", "text-id", "float-id"])
+def test_a_tree_file_read_twice_raises_one_error(doc, error, message):
     # A failed read with pairs is dropped, not chained to the plain one.
-    with pytest.raises(error) as info:
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         parse_tree_file(doc)
     assert info.value.__context__ is None
 
@@ -598,6 +604,11 @@ def test_config_mechanism_aliases_and_validation():
     with pytest.raises(InputFormatError,
                        match="^config field 'mechanisms': unknown mechanism"):
         config_from_mapping({"mechanisms": ["lottery"]})
+    empty = "config field 'mechanisms': expected at least one mechanism"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(empty)}$"):
+        config_from_mapping({"mechanisms": []})
+    with pytest.raises(InputFormatError, match=f"^{re.escape(empty)}$"):
+        RunConfig().updated(mechanisms=[])
     with pytest.raises(InputFormatError,
                        match="^config field 'output_format': unknown output format"):
         config_from_mapping({"output_format": "xml"})

@@ -41,7 +41,7 @@ def is_in_core(
     n = tree.n
     if n > limit:
         raise SizeLimitError(f"core check over {n} agents exceeds limit {limit}")
-    if allocation.numerators.keys() != tree._rank.keys():
+    if allocation.numerators.keys() != set(tree.node_ids):
         raise ValueError(f"allocation pays nodes {excerpt(list(allocation.numerators))}"
                          ", not the tree's nodes")
     grand = game.f.of(tree.trim(tree.node_ids))
@@ -216,7 +216,7 @@ def complexity_table(tree: RootedTree) -> Iterator[ComplexityRow]:
     for r in range(1, tree.n):
         counts[r] = counts[parents[r]] * counts[r] // (1 + counts[r])
     for i in tree.node_ids:
-        r = tree._rank[i]
+        r = tree._rank_of(i)
         yield ComplexityRow(i, cfg, counts[r], heights[r] + 1)
 
 

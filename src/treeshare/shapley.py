@@ -112,7 +112,7 @@ def shapley_general(game: TreeGame) -> Allocation:
     tree = game.tree
     n = tree.n
     f = game.f
-    rank = tree._rank
+    rank = dict(zip(tree._ids, range(n)))  # the enumeration keeps n small
     parents = tree._parents
     subtree = [1 << r for r in range(n)]
     kids = [0] * n

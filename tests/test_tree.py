@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from enum import IntEnum
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshare import TreeError, TreeGame, UnknownNodeError, ValueFunction, build_tree
+from treeshare import tree as tree_module
 from treeshare.analysis import complexity_table
 from treeshare.tree import chain, complete_binary_tree, star
 
@@ -172,7 +174,7 @@ def test_equal_trees_hash_equal(f9):
 def _slots_from_edges(edges, root):
     """Every slot of the tree on these valid edges, recomputed by walking
     each node's parent chain (depths, canonical order, ranks, height and
-    ascending ids), and each node's subtree height by id."""
+    ascending ids with their ranks), and each node's subtree height by id."""
     parent = dict(edges)
     nodes = sorted({root} | set(parent) | set(parent.values()))
 
@@ -193,11 +195,12 @@ def _slots_from_edges(edges, root):
         "n": len(nodes),
         "root": root,
         "_ids": tuple(order),
-        "_rank": rank,
         "_parents": tuple(rank[parent[i]] if i != root else -1 for i in order),
         "_depths": tuple(depth[i] for i in order),
         "_height": max(depth.values()),
         "_sorted_ids": tuple(nodes),
+        "_sorted_ranks": (range(len(nodes)) if order == nodes
+                          else tuple(rank[i] for i in nodes)),
     }
     heights = {i: max(depth[j] for j in below[i]) - depth[i] for i in nodes}
     return slots, heights
@@ -287,6 +290,95 @@ def test_build_rejects_a_defect_naming_a_node_that_has_it(case, defect, data):
     else:
         assert message == f"cycle detected involving node {named}"
         assert named in _above(dict(edges), named)
+
+
+def _slots(tree):
+    return {slot: getattr(tree, slot) for slot in type(tree).__slots__}
+
+
+def _shape(ids, parents, depths, *_):
+    """Each id's parent id and depth, whatever the canonical order."""
+    return {i: (ids[p] if p >= 0 else None, d)
+            for i, p, d in zip(ids, parents, depths)}
+
+
+JOIN_ORDERED_IDS = {
+    "1..n": lambda k: k,
+    "sparse": lambda k: k * k + k,
+    "past 2**64": lambda k: 2**64 * k + 1,
+}
+
+
+def _arranged(edges, order):
+    if order == "ascending":
+        return list(edges)
+    if order == "descending":
+        return edges[::-1]
+    shuffled = random.Random(31).sample(edges, len(edges))
+    return shuffled if order == "shuffled" else (edge for edge in shuffled)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "generator"])
+@pytest.mark.parametrize("label", JOIN_ORDERED_IDS.values(), ids=JOIN_ORDERED_IDS)
+def test_join_ordered_ids_build_in_one_pass_the_tree_the_walk_builds(label, order,
+                                                                     monkeypatch):
+    base = random_tree_edges(random.Random(29), 60, 5)
+    edges = [(label(c), label(p)) for c, p in base]
+    root = label(1)
+    expected, _ = _slots_from_edges(edges, root)
+    walked = tree_module._walk(edges, root)
+    monkeypatch.setattr(tree_module, "_walk", None)  # the walk must not run
+    tree = build_tree(_arranged(edges, order), root)
+    assert _slots(tree) == expected
+    assert _shape(tree._ids, tree._parents, tree._depths) == _shape(*walked)
+    assert walked[3] == tree._sorted_ids
+
+
+# Inputs the one pass turns down, each with the tree the walk builds (None)
+# or the walk's message.
+NOT_JOIN_ORDERED = {
+    "child below the root": ([(3, 5), (7, 5), (9, 3)], 5, None),
+    "child at the root": ([(2, 1), (1, 2)], 1, "cycle detected involving node 1"),
+    "parent above its child": ([(2, 1), (3, 4), (4, 2)], 1, None),
+    "parent above its child past 16 edges": (
+        [(k, k - 1) for k in range(2, 19)] + [(19, 40), (40, 1)], 1, None),
+    "parent that is no node": ([(2, 1), (4, 3)], 1, "node 3 unreachable from root 1"),
+    "duplicate child": ([(2, 1), (3, 1), (3, 2)], 1, "duplicate parent for node 3"),
+    "True id": ([(2, 1), (3, True)], 1, "node ids must be positive integers, got True"),
+    "2.0 id": ([(2, 1), (2.0, 1)], 1, "node ids must be positive integers, got 2.0"),
+    "str id": ([(2, 1), ("3", 1)], 1, "node ids must be positive integers, got '3'"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_JOIN_ORDERED.values(), ids=NOT_JOIN_ORDERED)
+def test_the_one_pass_leaves_any_other_input_to_the_walk(case):
+    edges, root, message = case
+    assert tree_module._join_ordered(edges, root) is None
+    if message is None:
+        assert _slots(build_tree(edges, root)) == _slots_from_edges(edges, root)[0]
+    else:
+        with pytest.raises(TreeError) as raised:
+            build_tree(iter(edges), root)
+        assert str(raised.value) == message
+
+
+def test_a_join_ordered_build_peaks_near_the_tree_it_keeps():
+    # The build's peak above the call against what the finished tree keeps
+    # traced (its ids are the edges' own ints): a ratio, so no Python
+    # version's object sizes enter the bound. Per-node hash tables put it
+    # near 2; the one pass, turning each list into a tuple in turn, near 1.15.
+    edges = random_tree_edges(random.Random(100_000), 100_000, 40)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tree = build_tree(edges, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (kept - before) < 1.5
+    walked = build_tree(*shuffle_ids(random.Random(7), edges[:500], 1))
+    for built in (tree, walked):
+        assert not any(isinstance(v, dict) for v in _slots(built).values())
 
 
 # -- navigation ------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .allocation import (Allocation, _rounded, as_fraction, decimal_text,
                          exact_and_display, excerpt)
 from .games import LIMIT_CEILING
-from .shapley import IncrementalState
+from .shapley import replay_events  # noqa: F401  (part of this module's API)
 from .tree import RootedTree, TreeError, build_tree
 
 if TYPE_CHECKING:  # loaded on use, so that only ``compute`` loads the allocators
@@ -279,32 +279,6 @@ def _parse_lines(lines: list[str], lineno: int, last_seq: int | None) -> Generat
         last_seq = seq
         yield JoinEvent(seq, node, parent)
     return last_seq
-
-
-def replay_events(
-    events: Iterable[JoinEvent],
-    root: int,
-    root_adjust: bool = False,
-    on_delta: Callable[[JoinEvent, Allocation], None] | None = None,
-) -> IncrementalState:
-    """Apply a join stream to a fresh tree rooted at ``root``.
-
-    Each event goes through ``state.join``, whose reward delta is handed to
-    ``on_delta``; without ``on_delta`` it goes through ``state.attach``, which
-    builds no delta. Errors are re-raised with the offending sequence number;
-    deltas already handed to ``on_delta`` stand.
-    """
-    state = IncrementalState(root, root_adjust=root_adjust)
-    step = state.attach if on_delta is None else state.join
-    for event in events:
-        seq, node, parent = event
-        try:
-            result = step(node, parent)
-        except ValueError as exc:
-            raise InputFormatError(f"event {excerpt(seq)}: {exc}") from None
-        if on_delta is not None:
-            on_delta(event, result)
-    return state
 
 
 # -- run configuration ---------------------------------------------------

@@ -19,13 +19,18 @@ The closed form and the streaming snapshot work in integers over
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
+from typing import TYPE_CHECKING
 
 from .allocation import Allocation, as_fraction, common_numerators, excerpt
 from .games import SizeLimitError, TreeGame, _Basic, _Linear, coalition_values_by_mask
 from .tree import RootedTree, TreeError, UnknownNodeError, _check_id, build_tree
+
+if TYPE_CHECKING:  # ``io`` imports this module
+    from .io import JoinEvent
 
 
 def _depth_shares(height: int) -> tuple[int, list[int]]:
@@ -293,3 +298,46 @@ class IncrementalState:
     def to_tree(self) -> RootedTree:
         """Materialise the current tree; the root is the table's first entry."""
         return build_tree(islice(self._parents.items(), 1, None), self.root)
+
+
+def replay_events(
+    events: Iterable[JoinEvent],
+    root: int,
+    root_adjust: bool = False,
+    on_delta: Callable[[JoinEvent, Allocation], None] | None = None,
+) -> IncrementalState:
+    """Apply a join stream to a fresh tree rooted at ``root``.
+
+    Each event goes through ``state.join``, whose reward delta is handed to
+    ``on_delta``. Without ``on_delta`` no delta is built: a usual join is
+    checked and stored here, and any other event goes through
+    ``state.attach``, for its message. Errors are re-raised with the
+    offending sequence number; deltas already handed to ``on_delta`` stand.
+
+    Parents are stored as the int their member joined as, from a table that
+    lives only for this replay, so that the state holds each id once.
+    """
+    state = IncrementalState(root, root_adjust=root_adjust)
+    parents = state._parents
+    joined = {root: root}  # each member's id -> the int it joined as
+    step = state.attach if on_delta is None else state.join
+    for event in events:
+        seq, node, parent = event
+        if parent.__class__ is int:  # the class first: [1] is unhashable
+            known = joined.get(parent)
+            if known is not None:
+                if (on_delta is None and node.__class__ is int and node > 0
+                        and node not in joined):
+                    parents[node] = known
+                    joined[node] = node
+                    continue
+                parent = known
+        try:
+            result = step(node, parent)
+        except ValueError as exc:
+            from .io import InputFormatError  # ``io`` imports this module
+            raise InputFormatError(f"event {excerpt(seq)}: {exc}") from None
+        joined[node] = node
+        if on_delta is not None:
+            on_delta(event, result)
+    return state

@@ -26,7 +26,7 @@ from treeshare import (
     shapley_value,
 )
 from treeshare.games import scale_game
-from treeshare.io import parse_event_log, replay_events
+from treeshare.io import InputFormatError, JoinEvent, parse_event_log, replay_events
 from treeshare.shapley import root_adjust
 from treeshare.tree import chain, star
 
@@ -478,6 +478,55 @@ def test_a_rejected_join_changes_nothing(step):
         with pytest.raises(error, match=match):
             getattr(state, step)(node, parent)
     assert (state.n, state.allocation) == before
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "deltas"])
+def test_replay_stores_each_parent_as_its_own_key(verbose):
+    # Parsed fields are fresh ints: a parent stored as read would be one more
+    # object per child, alive until the snapshot.
+    rng = random.Random(97)
+    lines = [f"{seq} {node} {parent}\n"
+             for seq, (node, parent) in enumerate(random_tree_edges(rng, 20_001), 1)]
+    on_delta = (lambda event, delta: None) if verbose else None
+    state = replay_events(parse_event_log(lines), 1, on_delta=on_delta)
+    keys = {id(node) for node in state._parents}
+    assert state.n == 20_001
+    assert all(id(parent) in keys for parent in state._parents.values()
+               if parent is not None)
+    assert set(vars(state)) == {"root", "root_adjust", "_parents"}  # no id table kept
+
+
+_NOT_AN_ID = "node ids must be positive integers, got "
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "deltas"])
+@pytest.mark.parametrize("node,parent,message", [
+    (5, 99, "event 3: unknown parent 99"),
+    (2, 1, "event 3: node 2 already joined"),
+    (1, 2, "event 3: node 1 already joined"),
+    (True, 2, "event 3: " + _NOT_AN_ID + "True"),
+    (2.0, 2, "event 3: " + _NOT_AN_ID + "2.0"),
+    ("3", 2, "event 3: " + _NOT_AN_ID + "'3'"),
+    ([1], 2, "event 3: " + _NOT_AN_ID + "[1]"),
+    (0, 2, "event 3: " + _NOT_AN_ID + "0"),
+    (-4, 2, "event 3: " + _NOT_AN_ID + "-4"),
+    (5, True, "event 3: " + _NOT_AN_ID + "True"),
+    (5, 2.0, "event 3: " + _NOT_AN_ID + "2.0"),
+    (5, "3", "event 3: " + _NOT_AN_ID + "'3'"),
+    (5, [1], "event 3: " + _NOT_AN_ID + "[1]"),
+    (5, 0, "event 3: unknown parent 0"),
+    (5, -4, "event 3: unknown parent -4"),
+    (True, 99, "event 3: unknown parent 99"),  # the parent is judged first
+    (2.0, [1], "event 3: " + _NOT_AN_ID + "[1]"),
+])
+def test_replay_rejects_a_bad_join_with_its_message(node, parent, message, verbose):
+    events = [JoinEvent(1, 2, 1), JoinEvent(2, 3, 2), JoinEvent(3, node, parent)]
+    deltas = []
+    on_delta = (lambda event, delta: deltas.append(event.seq)) if verbose else None
+    with pytest.raises(InputFormatError) as info:
+        replay_events(events, 1, on_delta=on_delta)
+    assert str(info.value) == message
+    assert deltas == ([1, 2] if verbose else [])
 
 
 def test_incremental_equals_batch_on_random_sequences():
